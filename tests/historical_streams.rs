@@ -16,11 +16,13 @@
 //! trajectory itself — worker counts only change scheduling, never results).
 
 use analog_floorplan::circuit::generators;
+use analog_floorplan::circuit::Circuit;
 use analog_floorplan::layout::Floorplan;
 use analog_floorplan::metaheuristics::{
     genetic_algorithm, multistart_sa, particle_swarm, simulated_annealing, GaConfig,
     MultistartSaConfig, PsoConfig, SaConfig,
 };
+use analog_floorplan::rl::{ActorCritic, AgentConfig, FloorplanAgent};
 
 /// FNV-1a fingerprint of the placed geometry: block ids, anchor cells, grid
 /// footprints, and the exact `f64` bits of every placed rectangle. The reward
@@ -199,6 +201,76 @@ fn multistart_bias2_replay_is_bit_identical_at_every_worker_count() {
     assert_eq!(winners, vec![Some(0), Some(0), Some(0)], "winner reduction moved");
 }
 
+/// FNV-1a fingerprint of every policy weight's `f32` bit pattern, in
+/// `ActorCritic::params` order: one ulp of drift anywhere in a fine-tuning
+/// trajectory's forward or backward passes moves it.
+fn policy_weights_hash(policy: &ActorCritic) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for p in policy.params() {
+        for v in p.value.data() {
+            h ^= u64::from(v.to_bits());
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// The R-GCN + PPO streams: a seeded small-config agent fine-tuned for 8
+/// episodes on one evaluation circuit, then solving it. Each entry is
+/// (label, policy weights hash, solve reward, solve floorplan fingerprint).
+fn rl_streams() -> Vec<(String, u64, f64, u64)> {
+    let circuits: [(&str, Circuit); 2] = [
+        ("ota1", generators::ota5()),
+        ("rs-latch", generators::rs_latch()),
+    ];
+    circuits
+        .into_iter()
+        .map(|(name, circuit)| {
+            let mut agent = FloorplanAgent::new(AgentConfig { seed: 5, ..AgentConfig::small() });
+            agent.fine_tune(&circuit, 8);
+            let solved = agent.solve(&circuit);
+            (
+                format!("rl-{name}-finetune8-seed5"),
+                policy_weights_hash(agent.policy()),
+                solved.reward,
+                floorplan_fingerprint(&solved.floorplan),
+            )
+        })
+        .collect()
+}
+
+fn rl_row(label: &str, weights: u64, reward: f64, fingerprint: u64) -> String {
+    format!(
+        "{label}: weights=0x{weights:016x} reward_bits=0x{:016x} fingerprint=0x{fingerprint:016x}",
+        reward.to_bits()
+    )
+}
+
+/// Few-shot fine-tuning then inference: the paper's method end to end
+/// through every `afp-tensor` kernel, forward and backward. The pins were
+/// captured from the direct-loop kernels, so a kernel rewrite that changes
+/// the summation order of any output or gradient element fails here.
+#[test]
+fn rl_fine_tune_and_solve_streams_are_bit_identical() {
+    let pins: [(&str, u64, u64, u64); 2] = [
+        ("rl-ota1-finetune8-seed5", 0x8a9091615f6391a0, 0xc0330b69596ce260, 0x0c4ae3a60fdeef9d),
+        ("rl-rs-latch-finetune8-seed5", 0x3809b3b989b309bd, 0xc03c1313126893cb, 0x593465f5a46d52ff),
+    ];
+    let actual = rl_streams();
+    assert_eq!(pins.len(), actual.len(), "stream count changed");
+    for (&(label, weights, reward_bits, fingerprint), (got_label, w, reward, fp)) in
+        pins.iter().zip(&actual)
+    {
+        assert_eq!(label, got_label, "stream order changed");
+        assert_eq!(
+            (weights, reward_bits, fingerprint),
+            (*w, reward.to_bits(), *fp),
+            "{label} diverged from the pinned stream: {}",
+            rl_row(label, *w, *reward, *fp),
+        );
+    }
+}
+
 /// Prints the actual stream table (run with `--nocapture`); used to capture
 /// the pinned constants from the single-word implementation and kept so the
 /// pins can be re-derived on demand.
@@ -247,5 +319,8 @@ fn print_stream_table() {
                 )
             );
         }
+    }
+    for (label, weights, reward, fingerprint) in rl_streams() {
+        println!("{}", rl_row(&label, weights, reward, fingerprint));
     }
 }
