@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use super::kernels::{channels_first_into, channels_last, lanes_axpy, offsets, Phases, RowPlan};
 use crate::{Init, Layer, Param, Tensor};
 
 /// A 2-D convolution layer.
@@ -66,8 +67,21 @@ impl Conv2d {
     }
 
     /// Spatial output size for a given input size.
+    ///
+    /// # Panics
+    ///
+    /// If the padded input is smaller than the kernel (no output position).
     pub fn output_size(&self, input_size: usize) -> usize {
-        (input_size + 2 * self.padding - self.kernel) / self.stride + 1
+        let span = (input_size + 2 * self.padding)
+            .checked_sub(self.kernel)
+            .unwrap_or_else(|| {
+                panic!(
+                    "Conv2d: {k}x{k} kernel does not fit a side-{input_size} input with padding {p}",
+                    k = self.kernel,
+                    p = self.padding
+                )
+            });
+        span / self.stride + 1
     }
 
     /// Number of output channels.
@@ -75,7 +89,8 @@ impl Conv2d {
         self.out_channels
     }
 
-    fn check_input(&self, input: &Tensor) {
+    /// Checks `input` and returns its `(h, w, oh, ow)`.
+    fn check_input(&self, input: &Tensor) -> (usize, usize, usize, usize) {
         assert_eq!(input.ndim(), 3, "Conv2d expects [C, H, W] input");
         assert_eq!(
             input.shape()[0],
@@ -84,50 +99,48 @@ impl Conv2d {
             self.in_channels,
             input.shape()[0]
         );
+        let (h, w) = (input.shape()[1], input.shape()[2]);
+        (h, w, self.output_size(h), self.output_size(w))
     }
 }
 
+// Every kernel below keeps, per output and gradient element, the summation
+// order of the direct loops kept as the test oracle in `tests/properties.rs`
+// (see `kernels` for why that is the contract):
+//
+// * forward `out[oc, oy, ox]`: the bias, then `(ic, ky, kx)` ascending,
+//   padded taps skipped — a gather, one output row at a time;
+// * weight and bias gradients: `(oy, ox)` ascending; input gradient
+//   `gx[ic, iy, ix]`: `(oc, oy, ox)` ascending — the direct scatter loop
+//   over the output gradient itself, zero gradients skipped, with input
+//   channels in lanes.
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.check_input(input);
-        self.cached_input = Some(input.clone());
-        let (h, w) = (input.shape()[1], input.shape()[2]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
-        let k = self.kernel;
-        let x = input.data();
+        let (h, w, oh, ow) = self.check_input(input);
+        let (k, s, p, in_c) = (self.kernel, self.stride, self.padding, self.in_channels);
+        let phases = Phases::new(w, s);
+        let x = phases.split(input.data());
+        let plan = RowPlan::gather(k, s, p, ow, &phases);
         let wgt = self.weight.value.data();
         let mut out = vec![0.0f32; self.out_channels * oh * ow];
         for oc in 0..self.out_channels {
             let b = self.bias.value.get(oc);
             for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = b;
-                    let iy0 = oy * self.stride;
-                    let ix0 = ox * self.stride;
-                    for ic in 0..self.in_channels {
-                        for ky in 0..k {
-                            let iy = iy0 + ky;
-                            if iy < self.padding || iy - self.padding >= h {
-                                continue;
-                            }
-                            let iy = iy - self.padding;
-                            for kx in 0..k {
-                                let ix = ix0 + kx;
-                                if ix < self.padding || ix - self.padding >= w {
-                                    continue;
-                                }
-                                let ix = ix - self.padding;
-                                let xv = x[ic * h * w + iy * w + ix];
-                                let wv = wgt[((oc * self.in_channels + ic) * k + ky) * k + kx];
-                                acc += xv * wv;
-                            }
-                        }
+                let row = &mut out[(oc * oh + oy) * ow..][..ow];
+                row.fill(b);
+                for ic in 0..in_c {
+                    for ky in offsets(oy, k, s, p, h) {
+                        let iy = oy * s + ky - p;
+                        plan.apply::<false>(
+                            row,
+                            &x[(ic * h + iy) * w..][..w],
+                            &wgt[((oc * in_c + ic) * k + ky) * k..][..k],
+                        );
                     }
-                    out[oc * oh * ow + oy * ow + ox] = acc;
                 }
             }
         }
+        self.cached_input = Some(input.clone());
         Tensor::from_vec(out, &[self.out_channels, oh, ow])
     }
 
@@ -135,55 +148,53 @@ impl Layer for Conv2d {
         let input = self
             .cached_input
             .as_ref()
-            .expect("Conv2d::backward called before forward")
-            .clone();
-        let (h, w) = (input.shape()[1], input.shape()[2]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
+            .expect("Conv2d::backward called before forward");
+        let (h, w, oh, ow) = self.check_input(input);
         assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow]);
-        let k = self.kernel;
-        let x = input.data();
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let (in_c, out_c) = (self.in_channels, self.out_channels);
         let gy = grad_output.data();
-        let wgt = self.weight.value.data();
-        let mut gx = vec![0.0f32; self.in_channels * h * w];
-        {
-            let gw = self.weight.grad.data_mut();
-            let gb = self.bias.grad.data_mut();
-            for oc in 0..self.out_channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = gy[oc * oh * ow + oy * ow + ox];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        gb[oc] += g;
-                        let iy0 = oy * self.stride;
-                        let ix0 = ox * self.stride;
-                        for ic in 0..self.in_channels {
-                            for ky in 0..k {
-                                let iy = iy0 + ky;
-                                if iy < self.padding || iy - self.padding >= h {
-                                    continue;
-                                }
-                                let iy = iy - self.padding;
-                                for kx in 0..k {
-                                    let ix = ix0 + kx;
-                                    if ix < self.padding || ix - self.padding >= w {
-                                        continue;
-                                    }
-                                    let ix = ix - self.padding;
-                                    let xi = ic * h * w + iy * w + ix;
-                                    let wi = ((oc * self.in_channels + ic) * k + ky) * k + kx;
-                                    gw[wi] += g * x[xi];
-                                    gx[xi] += g * wgt[wi];
-                                }
-                            }
-                        }
+
+        for (oc, acc) in self.bias.grad.data_mut().iter_mut().enumerate() {
+            for &g in &gy[oc * oh * ow..(oc + 1) * oh * ow] {
+                let sum = *acc + g;
+                *acc = if g != 0.0 { sum } else { *acc };
+            }
+        }
+
+        // [iy, ix, ic lanes] and [oc, ky, kx, ic lanes]: one kernel row of
+        // either is a contiguous span of lane blocks.
+        let (x, lanes) = channels_last(input.data(), 1, in_c, h * w);
+        let (wgt, _) = channels_last(self.weight.value.data(), out_c, in_c, k * k);
+        let (mut gw, _) = channels_last(self.weight.grad.data(), out_c, in_c, k * k);
+        let mut gx = vec![0.0f32; h * w * lanes];
+        for oc in 0..out_c {
+            for oy in 0..oh {
+                let kys = offsets(oy, k, s, p, h);
+                for ox in 0..ow {
+                    let g = gy[(oc * oh + oy) * ow + ox];
+                    let kxs = offsets(ox, k, s, p, w);
+                    if g == 0.0 || kxs.is_empty() {
+                        continue;
+                    }
+                    let span = kxs.len() * lanes;
+                    let ix = ox * s + kxs.start - p;
+                    for ky in kys.clone() {
+                        let iy = oy * s + ky - p;
+                        let wi = ((oc * k + ky) * k + kxs.start) * lanes;
+                        let xi = (iy * w + ix) * lanes;
+                        lanes_axpy(&mut gw[wi..][..span], &x[xi..][..span], g);
+                        lanes_axpy(&mut gx[xi..][..span], &wgt[wi..][..span], g);
                     }
                 }
             }
         }
-        Tensor::from_vec(gx, &[self.in_channels, h, w])
+        channels_first_into(&gw, in_c, k * k, lanes, self.weight.grad.data_mut());
+        // The channels-last input copy is spent; its buffer takes the result.
+        let mut grad_input = x;
+        grad_input.truncate(in_c * h * w);
+        channels_first_into(&gx, in_c, h * w, lanes, &mut grad_input);
+        Tensor::from_vec(grad_input, &[in_c, h, w])
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -243,6 +254,16 @@ mod tests {
         let input = Init::XavierUniform.sample(&mut rng, &[2, 5, 5], 50, 75);
         let max_err = check_layer_gradients(&mut conv, &input);
         assert!(max_err < 2e-2, "max gradient error {}", max_err);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel does not fit")]
+    fn input_smaller_than_the_kernel_panics() {
+        // 2 + 2·0 − 3 underflows: release builds used to return a [1, 0, 0]
+        // tensor here instead of failing.
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng);
+        let _ = conv.forward(&Tensor::zeros(&[1, 2, 2]));
     }
 
     #[test]

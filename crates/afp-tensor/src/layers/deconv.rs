@@ -2,6 +2,9 @@
 
 use rand::Rng;
 
+use super::kernels::{
+    channels_first_into, channels_last, lanes_axpy, lanes_axpy_nonzero, offsets, Phases, RowPlan,
+};
 use crate::{Init, Layer, Param, Tensor};
 
 /// A 2-D transposed convolution layer.
@@ -69,18 +72,34 @@ impl ConvTranspose2d {
     }
 
     /// Spatial output size for a given input size.
+    ///
+    /// # Panics
+    ///
+    /// If the input side is zero or the padding crops the whole output.
     pub fn output_size(&self, input_size: usize) -> usize {
-        (input_size - 1) * self.stride + self.kernel - 2 * self.padding
+        input_size
+            .checked_sub(1)
+            .map(|n| n * self.stride + self.kernel)
+            .and_then(|span| span.checked_sub(2 * self.padding))
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                panic!(
+                    "ConvTranspose2d: a side-{input_size} input has no output through a \
+                     {k}x{k} kernel with stride {s} and padding {p}",
+                    k = self.kernel,
+                    s = self.stride,
+                    p = self.padding
+                )
+            })
     }
 
     /// Number of output channels.
     pub fn out_channels(&self) -> usize {
         self.out_channels
     }
-}
 
-impl Layer for ConvTranspose2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    /// Checks `input` and returns its `(h, w, oh, ow)`.
+    fn check_input(&self, input: &Tensor) -> (usize, usize, usize, usize) {
         assert_eq!(input.ndim(), 3, "ConvTranspose2d expects [C, H, W] input");
         assert_eq!(
             input.shape()[0],
@@ -89,112 +108,137 @@ impl Layer for ConvTranspose2d {
             self.in_channels,
             input.shape()[0]
         );
-        self.cached_input = Some(input.clone());
         let (h, w) = (input.shape()[1], input.shape()[2]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
-        let k = self.kernel;
+        (h, w, self.output_size(h), self.output_size(w))
+    }
+}
+
+// Every kernel below keeps, per output and gradient element, the summation
+// order of the direct loops kept as the test oracle in `tests/properties.rs`
+// (see `kernels` for why that is the contract):
+//
+// * forward `out[oc, oy, ox]`: the bias if nonzero, else `+0.0`, then
+//   `(ic, iy, ix)` ascending, zero activations skipped; weight gradient:
+//   `(iy, ix)` ascending, zero gradients skipped — both the direct
+//   scatter loop over the input, with output channels in lanes;
+// * bias gradient: every output position ascending;
+// * input gradient `gx[ic, iy, ix]`: a `+0.0` accumulator summing
+//   `(oc, ky, kx)` ascending, zero gradients skipped — a gather, one input
+//   row at a time.
+impl Layer for ConvTranspose2d {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let (h, w, oh, ow) = self.check_input(input);
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let out_c = self.out_channels;
+        // [ic, ky, kx, oc lanes] and [oy, ox, oc lanes]: one kernel row of
+        // either is a contiguous span of lane blocks.
+        let (wgt, lanes) = channels_last(self.weight.value.data(), self.in_channels, out_c, k * k);
+        let bias = self.bias.value.data();
+        let init: Vec<f32> = (0..lanes)
+            .map(|oc| match bias.get(oc) {
+                Some(&b) if b != 0.0 => b,
+                _ => 0.0,
+            })
+            .collect();
+        let mut out = init.repeat(oh * ow);
         let x = input.data();
-        let wgt = self.weight.value.data();
-        let mut out = vec![0.0f32; self.out_channels * oh * ow];
-        // Initialize with bias.
-        for oc in 0..self.out_channels {
-            let b = self.bias.value.get(oc);
-            if b != 0.0 {
-                for v in &mut out[oc * oh * ow..(oc + 1) * oh * ow] {
-                    *v = b;
-                }
-            }
-        }
         for ic in 0..self.in_channels {
             for iy in 0..h {
+                let kys = offsets(iy, k, s, p, oh);
                 for ix in 0..w {
-                    let xv = x[ic * h * w + iy * w + ix];
-                    if xv == 0.0 {
+                    let xv = x[(ic * h + iy) * w + ix];
+                    let kxs = offsets(ix, k, s, p, ow);
+                    if xv == 0.0 || kxs.is_empty() {
                         continue;
                     }
-                    for oc in 0..self.out_channels {
-                        for ky in 0..k {
-                            let oy = iy * self.stride + ky;
-                            if oy < self.padding || oy - self.padding >= oh {
-                                continue;
-                            }
-                            let oy = oy - self.padding;
-                            for kx in 0..k {
-                                let ox = ix * self.stride + kx;
-                                if ox < self.padding || ox - self.padding >= ow {
-                                    continue;
-                                }
-                                let ox = ox - self.padding;
-                                let wv = wgt[((ic * self.out_channels + oc) * k + ky) * k + kx];
-                                out[oc * oh * ow + oy * ow + ox] += xv * wv;
-                            }
-                        }
+                    let span = kxs.len() * lanes;
+                    let ox = ix * s + kxs.start - p;
+                    for ky in kys.clone() {
+                        let oy = iy * s + ky - p;
+                        lanes_axpy(
+                            &mut out[(oy * ow + ox) * lanes..][..span],
+                            &wgt[((ic * k + ky) * k + kxs.start) * lanes..][..span],
+                            xv,
+                        );
                     }
                 }
             }
         }
-        Tensor::from_vec(out, &[self.out_channels, oh, ow])
+        self.cached_input = Some(input.clone());
+        let mut output = vec![0.0f32; out_c * oh * ow];
+        channels_first_into(&out, out_c, oh * ow, lanes, &mut output);
+        Tensor::from_vec(output, &[out_c, oh, ow])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
-            .expect("ConvTranspose2d::backward called before forward")
-            .clone();
-        let (h, w) = (input.shape()[1], input.shape()[2]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
+            .expect("ConvTranspose2d::backward called before forward");
+        let (h, w, oh, ow) = self.check_input(input);
         assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow]);
-        let k = self.kernel;
-        let x = input.data();
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let (in_c, out_c) = (self.in_channels, self.out_channels);
         let gy = grad_output.data();
-        let wgt = self.weight.value.data();
-        let mut gx = vec![0.0f32; self.in_channels * h * w];
-        {
-            let gw = self.weight.grad.data_mut();
-            let gb = self.bias.grad.data_mut();
-            for oc in 0..self.out_channels {
-                for v in &gy[oc * oh * ow..(oc + 1) * oh * ow] {
-                    gb[oc] += v;
-                }
+
+        for (oc, acc) in self.bias.grad.data_mut().iter_mut().enumerate() {
+            for &g in &gy[oc * oh * ow..(oc + 1) * oh * ow] {
+                *acc += g;
             }
-            for ic in 0..self.in_channels {
-                for iy in 0..h {
-                    for ix in 0..w {
-                        let xi = ic * h * w + iy * w + ix;
-                        let xv = x[xi];
-                        let mut gxi = 0.0f32;
-                        for oc in 0..self.out_channels {
-                            for ky in 0..k {
-                                let oy = iy * self.stride + ky;
-                                if oy < self.padding || oy - self.padding >= oh {
-                                    continue;
-                                }
-                                let oy = oy - self.padding;
-                                for kx in 0..k {
-                                    let ox = ix * self.stride + kx;
-                                    if ox < self.padding || ox - self.padding >= ow {
-                                        continue;
-                                    }
-                                    let ox = ox - self.padding;
-                                    let g = gy[oc * oh * ow + oy * ow + ox];
-                                    if g == 0.0 {
-                                        continue;
-                                    }
-                                    let wi = ((ic * self.out_channels + oc) * k + ky) * k + kx;
-                                    gw[wi] += g * xv;
-                                    gxi += g * wgt[wi];
-                                }
-                            }
-                        }
-                        gx[xi] += gxi;
+        }
+
+        // Weight gradient: [oy, ox, oc lanes] and [ic, ky, kx, oc lanes].
+        let (gy_lanes, lanes) = channels_last(gy, 1, out_c, oh * ow);
+        let (mut gw, _) = channels_last(self.weight.grad.data(), in_c, out_c, k * k);
+        let x = input.data();
+        for ic in 0..in_c {
+            for iy in 0..h {
+                let kys = offsets(iy, k, s, p, oh);
+                for ix in 0..w {
+                    let kxs = offsets(ix, k, s, p, ow);
+                    if kxs.is_empty() {
+                        continue;
+                    }
+                    let span = kxs.len() * lanes;
+                    let ox = ix * s + kxs.start - p;
+                    for ky in kys.clone() {
+                        let oy = iy * s + ky - p;
+                        lanes_axpy_nonzero(
+                            &mut gw[((ic * k + ky) * k + kxs.start) * lanes..][..span],
+                            &gy_lanes[(oy * ow + ox) * lanes..][..span],
+                            x[(ic * h + iy) * w + ix],
+                        );
                     }
                 }
             }
         }
-        Tensor::from_vec(gx, &[self.in_channels, h, w])
+        channels_first_into(&gw, out_c, k * k, lanes, self.weight.grad.data_mut());
+
+        // Input gradient, reading the output gradient in the phase layout.
+        // Each element starts from the direct loop's `+0.0` accumulator, which
+        // can never become `-0.0`, so it also stands for that accumulator's
+        // addition to the zeroed gradient.
+        let phases = Phases::new(ow, s);
+        let gy = phases.split(gy);
+        let plan = RowPlan::gather(k, s, p, w, &phases);
+        let wgt = self.weight.value.data();
+        let mut gx = vec![0.0f32; in_c * h * w];
+        for ic in 0..in_c {
+            for iy in 0..h {
+                let row = &mut gx[(ic * h + iy) * w..][..w];
+                for oc in 0..out_c {
+                    for ky in offsets(iy, k, s, p, oh) {
+                        let oy = iy * s + ky - p;
+                        plan.apply::<true>(
+                            row,
+                            &gy[(oc * oh + oy) * ow..][..ow],
+                            &wgt[((ic * out_c + oc) * k + ky) * k..][..k],
+                        );
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(gx, &[in_c, h, w])
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -243,6 +287,16 @@ mod tests {
         let input = Init::XavierUniform.sample(&mut rng, &[2, 3, 3], 18, 18);
         let max_err = check_layer_gradients(&mut deconv, &input);
         assert!(max_err < 2e-2, "max gradient error {}", max_err);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no output")]
+    fn empty_input_panics() {
+        // (0 − 1)·2 + 4 − 2 underflows: release builds used to return a
+        // [1, 0, 0] tensor here instead of failing.
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut deconv = ConvTranspose2d::new(1, 1, 4, 2, 1, &mut rng);
+        let _ = deconv.forward(&Tensor::zeros(&[1, 0, 0]));
     }
 
     #[test]

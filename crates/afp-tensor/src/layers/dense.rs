@@ -4,6 +4,9 @@ use rand::Rng;
 
 use crate::{Init, Layer, Param, Tensor};
 
+/// Output rows [`Dense::forward`] computes side by side.
+const ROW_BLOCK: usize = 4;
+
 /// A fully connected layer computing `y = W·x + b` on 1-D inputs.
 ///
 /// Used throughout the paper's model: the MLP reward head on top of the R-GCN,
@@ -74,16 +77,30 @@ impl Layer for Dense {
             input.shape()
         );
         self.cached_input = Some(input.clone());
-        let mut out = vec![0.0f32; self.out_features];
+        // Each output is its bias plus `w[o, i] * x[i]` summed over `i`
+        // ascending. Blocks of rows advance through `i` together so their
+        // independent sums overlap in the pipeline; the order per output is
+        // unchanged.
+        let n = self.in_features;
+        let x = &input.data()[..n];
         let w = self.weight.value.data();
-        let x = input.data();
-        for (o, out_v) in out.iter_mut().enumerate() {
-            let row = &w[o * self.in_features..(o + 1) * self.in_features];
-            let mut acc = self.bias.value.get(o);
-            for (wi, xi) in row.iter().zip(x.iter()) {
-                acc += wi * xi;
+        let row = |o: usize| &w[o * n..(o + 1) * n];
+        let mut out = self.bias.value.data().to_vec();
+        let blocked = out.len() - out.len() % ROW_BLOCK;
+        for first in (0..blocked).step_by(ROW_BLOCK) {
+            let rows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|r| row(first + r));
+            let mut acc: [f32; ROW_BLOCK] = std::array::from_fn(|r| out[first + r]);
+            for (i, &xi) in x.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    *a += row[i] * xi;
+                }
             }
-            *out_v = acc;
+            out[first..first + ROW_BLOCK].copy_from_slice(&acc);
+        }
+        for (o, acc) in out.iter_mut().enumerate().skip(blocked) {
+            for (wi, xi) in row(o).iter().zip(x) {
+                *acc += wi * xi;
+            }
         }
         Tensor::from_vec(out, &[self.out_features])
     }
@@ -157,6 +174,15 @@ mod tests {
         layer.bias.value = Tensor::from_slice(&[0.5, -0.5]);
         let y = layer.forward(&Tensor::from_slice(&[1.0, 1.0]));
         assert_eq!(y.data(), &[3.5, 6.5]);
+    }
+
+    #[test]
+    fn zero_inputs_give_the_bias() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut layer = Dense::new(0, 5, &mut rng);
+        layer.bias.value = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let y = layer.forward(&Tensor::from_slice(&[]));
+        assert_eq!(y.data(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]

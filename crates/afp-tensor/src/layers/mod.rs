@@ -9,6 +9,7 @@ mod conv;
 mod deconv;
 mod dense;
 mod flatten;
+mod kernels;
 mod sequential;
 
 pub use activation::{Activation, ActivationKind};

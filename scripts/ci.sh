@@ -65,6 +65,33 @@ done
 cargo test -q -p afp-metaheuristics --features full-realize
 cargo test -q -p afp-metaheuristics --features full-metrics
 
+# Tensor-kernel safety net: the Conv2d / ConvTranspose2d / Dense kernels must
+# sum every output and gradient element in the order of the direct loops they
+# replaced. The differential proptest and the policy-shape test compare them
+# bit for bit with that test-only oracle; the RL stream pin holds a seeded
+# few-shot fine-tune + solve to constants captured from the direct loops. Run
+# them by name (with the zero-match guard), then the proptest once more at
+# 10x its configured case count through PROPTEST_CASES.
+for kernel_test in \
+    "properties|conv_kernels_match_direct_loop_oracle" \
+    "properties|policy_layer_shapes_match_direct_loop_oracle" \
+    "historical_streams|rl_fine_tune_and_solve_streams_are_bit_identical"; do
+    target="${kernel_test%%|*}"
+    name="${kernel_test##*|}"
+    kernel_out="$(cargo test --test "$target" "$name" 2>&1)" \
+        || { echo "$kernel_out"; exit 1; }
+    echo "$kernel_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
+        || { echo "ci: kernel test filter '$name' matched no tests" >&2; exit 1; }
+done
+kernel_cases="$(sed -nE 's/^ *const KERNEL_DIFF_CASES: u32 = ([0-9]+);/\1/p' tests/properties.rs)"
+[ -n "$kernel_cases" ] \
+    || { echo "ci: KERNEL_DIFF_CASES not found in tests/properties.rs" >&2; exit 1; }
+kernel_out="$(PROPTEST_CASES=$((kernel_cases * 10)) \
+    cargo test --test properties conv_kernels_match_direct_loop_oracle 2>&1)" \
+    || { echo "$kernel_out"; exit 1; }
+echo "$kernel_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
+    || { echo "ci: 10x kernel differential proptest matched no tests" >&2; exit 1; }
+
 # Large-n zero-fallback tripwires: the `fallback_rescans` counter is
 # structurally never incremented (the full-rescan fallback branch was deleted
 # when the metric masks went multi-word), and these unit tests pin that claim

@@ -226,7 +226,10 @@ fn rl_streams() -> Vec<(String, u64, f64, u64)> {
     circuits
         .into_iter()
         .map(|(name, circuit)| {
-            let mut agent = FloorplanAgent::new(AgentConfig { seed: 5, ..AgentConfig::small() });
+            let mut agent = FloorplanAgent::new(AgentConfig {
+                seed: 5,
+                ..AgentConfig::small()
+            });
             agent.fine_tune(&circuit, 8);
             let solved = agent.solve(&circuit);
             (

@@ -1672,3 +1672,482 @@ fn serve_daemon_stress_submitters_race_drain() {
         assert_eq!(report.completed, submitted.len());
     }
 }
+
+/// Differential tests of the `afp-tensor` convolution and dense kernels
+/// against the direct loops they replaced.
+///
+/// The layers compute every output and gradient element in the summation
+/// order of the historical seven-deep loops, only many elements side by side,
+/// so the comparison is on `f32` bit patterns, not a tolerance. Inputs carry
+/// exact zeros (as ReLU outputs do) and mostly-zero gradients (as masked
+/// PPO logit gradients do), because the zero-skips are part of the order.
+mod tensor_kernels {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use analog_floorplan::tensor::layers::{Conv2d, ConvTranspose2d, Dense};
+    use analog_floorplan::tensor::{Layer, Tensor};
+
+    /// Case count of `conv_kernels_match_direct_loop_oracle`; `scripts/ci.sh`
+    /// also runs it at ten times this through `PROPTEST_CASES`.
+    const KERNEL_DIFF_CASES: u32 = 256;
+
+    /// Window geometry of one convolution-like layer call.
+    #[derive(Debug, Clone, Copy)]
+    struct Geom {
+        in_c: usize,
+        out_c: usize,
+        k: usize,
+        s: usize,
+        p: usize,
+        h: usize,
+        w: usize,
+    }
+
+    impl Geom {
+        fn conv_out(&self, n: usize) -> usize {
+            (n + 2 * self.p - self.k) / self.s + 1
+        }
+
+        fn deconv_out(&self, n: usize) -> usize {
+            (n - 1) * self.s + self.k - 2 * self.p
+        }
+    }
+
+    /// The direct-loop kernels, verbatim from the layers before the rewrite.
+    mod oracle {
+        use super::Geom;
+
+        pub fn conv_forward(g: Geom, x: &[f32], wgt: &[f32], bias: &[f32]) -> Vec<f32> {
+            let (h, w) = (g.h, g.w);
+            let (oh, ow) = (g.conv_out(h), g.conv_out(w));
+            let k = g.k;
+            let mut out = vec![0.0f32; g.out_c * oh * ow];
+            for oc in 0..g.out_c {
+                let b = bias[oc];
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = b;
+                        let iy0 = oy * g.s;
+                        let ix0 = ox * g.s;
+                        for ic in 0..g.in_c {
+                            for ky in 0..k {
+                                let iy = iy0 + ky;
+                                if iy < g.p || iy - g.p >= h {
+                                    continue;
+                                }
+                                let iy = iy - g.p;
+                                for kx in 0..k {
+                                    let ix = ix0 + kx;
+                                    if ix < g.p || ix - g.p >= w {
+                                        continue;
+                                    }
+                                    let ix = ix - g.p;
+                                    let xv = x[ic * h * w + iy * w + ix];
+                                    let wv = wgt[((oc * g.in_c + ic) * k + ky) * k + kx];
+                                    acc += xv * wv;
+                                }
+                            }
+                        }
+                        out[oc * oh * ow + oy * ow + ox] = acc;
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn conv_backward(
+            g: Geom,
+            x: &[f32],
+            wgt: &[f32],
+            gy: &[f32],
+            gw: &mut [f32],
+            gb: &mut [f32],
+        ) -> Vec<f32> {
+            let (h, w) = (g.h, g.w);
+            let (oh, ow) = (g.conv_out(h), g.conv_out(w));
+            let k = g.k;
+            let mut gx = vec![0.0f32; g.in_c * h * w];
+            for oc in 0..g.out_c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let gv = gy[oc * oh * ow + oy * ow + ox];
+                        if gv == 0.0 {
+                            continue;
+                        }
+                        gb[oc] += gv;
+                        let iy0 = oy * g.s;
+                        let ix0 = ox * g.s;
+                        for ic in 0..g.in_c {
+                            for ky in 0..k {
+                                let iy = iy0 + ky;
+                                if iy < g.p || iy - g.p >= h {
+                                    continue;
+                                }
+                                let iy = iy - g.p;
+                                for kx in 0..k {
+                                    let ix = ix0 + kx;
+                                    if ix < g.p || ix - g.p >= w {
+                                        continue;
+                                    }
+                                    let ix = ix - g.p;
+                                    let xi = ic * h * w + iy * w + ix;
+                                    let wi = ((oc * g.in_c + ic) * k + ky) * k + kx;
+                                    gw[wi] += gv * x[xi];
+                                    gx[xi] += gv * wgt[wi];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            gx
+        }
+
+        pub fn deconv_forward(g: Geom, x: &[f32], wgt: &[f32], bias: &[f32]) -> Vec<f32> {
+            let (h, w) = (g.h, g.w);
+            let (oh, ow) = (g.deconv_out(h), g.deconv_out(w));
+            let k = g.k;
+            let mut out = vec![0.0f32; g.out_c * oh * ow];
+            for oc in 0..g.out_c {
+                let b = bias[oc];
+                if b != 0.0 {
+                    for v in &mut out[oc * oh * ow..(oc + 1) * oh * ow] {
+                        *v = b;
+                    }
+                }
+            }
+            for ic in 0..g.in_c {
+                for iy in 0..h {
+                    for ix in 0..w {
+                        let xv = x[ic * h * w + iy * w + ix];
+                        if xv == 0.0 {
+                            continue;
+                        }
+                        for oc in 0..g.out_c {
+                            for ky in 0..k {
+                                let oy = iy * g.s + ky;
+                                if oy < g.p || oy - g.p >= oh {
+                                    continue;
+                                }
+                                let oy = oy - g.p;
+                                for kx in 0..k {
+                                    let ox = ix * g.s + kx;
+                                    if ox < g.p || ox - g.p >= ow {
+                                        continue;
+                                    }
+                                    let ox = ox - g.p;
+                                    let wv = wgt[((ic * g.out_c + oc) * k + ky) * k + kx];
+                                    out[oc * oh * ow + oy * ow + ox] += xv * wv;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn deconv_backward(
+            g: Geom,
+            x: &[f32],
+            wgt: &[f32],
+            gy: &[f32],
+            gw: &mut [f32],
+            gb: &mut [f32],
+        ) -> Vec<f32> {
+            let (h, w) = (g.h, g.w);
+            let (oh, ow) = (g.deconv_out(h), g.deconv_out(w));
+            let k = g.k;
+            let mut gx = vec![0.0f32; g.in_c * h * w];
+            for oc in 0..g.out_c {
+                for v in &gy[oc * oh * ow..(oc + 1) * oh * ow] {
+                    gb[oc] += v;
+                }
+            }
+            for ic in 0..g.in_c {
+                for iy in 0..h {
+                    for ix in 0..w {
+                        let xi = ic * h * w + iy * w + ix;
+                        let xv = x[xi];
+                        let mut gxi = 0.0f32;
+                        for oc in 0..g.out_c {
+                            for ky in 0..k {
+                                let oy = iy * g.s + ky;
+                                if oy < g.p || oy - g.p >= oh {
+                                    continue;
+                                }
+                                let oy = oy - g.p;
+                                for kx in 0..k {
+                                    let ox = ix * g.s + kx;
+                                    if ox < g.p || ox - g.p >= ow {
+                                        continue;
+                                    }
+                                    let ox = ox - g.p;
+                                    let gv = gy[oc * oh * ow + oy * ow + ox];
+                                    if gv == 0.0 {
+                                        continue;
+                                    }
+                                    let wi = ((ic * g.out_c + oc) * k + ky) * k + kx;
+                                    gw[wi] += gv * xv;
+                                    gxi += gv * wgt[wi];
+                                }
+                            }
+                        }
+                        gx[xi] += gxi;
+                    }
+                }
+            }
+            gx
+        }
+
+        pub fn dense_forward(x: &[f32], wgt: &[f32], bias: &[f32]) -> Vec<f32> {
+            let n_in = x.len();
+            let mut out = vec![0.0f32; bias.len()];
+            for (o, out_v) in out.iter_mut().enumerate() {
+                let row = &wgt[o * n_in..(o + 1) * n_in];
+                let mut acc = bias[o];
+                for (wi, xi) in row.iter().zip(x.iter()) {
+                    acc += wi * xi;
+                }
+                *out_v = acc;
+            }
+            out
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// `n` activations: exact zeros (about a third, as after a ReLU), the odd
+    /// `-0.0`, the rest uniform in ±1.
+    fn activations(rng: &mut StdRng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..12u32) {
+                0..=3 => 0.0,
+                4 => -0.0,
+                _ => rng.gen_range(-1.0f32..1.0),
+            })
+            .collect()
+    }
+
+    /// `n` gradient entries, mostly exact zeros (as masked-logit gradients).
+    fn sparse_grads(rng: &mut StdRng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..10u32) {
+                0..=6 => 0.0,
+                7 => -0.0,
+                _ => rng.gen_range(-1.0f32..1.0),
+            })
+            .collect()
+    }
+
+    /// Random nonzero biases with some exact `±0.0` entries (the transposed
+    /// convolution's forward branches on a zero bias).
+    fn randomize_bias(layer: &mut dyn Layer, rng: &mut StdRng) {
+        let bias = &mut layer.params_mut()[1].value;
+        for b in bias.data_mut() {
+            *b = match rng.gen_range(0..4u32) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-0.5f32..0.5),
+            };
+        }
+    }
+
+    type Forward = fn(Geom, &[f32], &[f32], &[f32]) -> Vec<f32>;
+    type Backward = fn(Geom, &[f32], &[f32], &[f32], &mut [f32], &mut [f32]) -> Vec<f32>;
+
+    /// Two forward/backward rounds through `layer` and the oracle, without
+    /// `zero_grad` in between and from nonzero starting gradients: outputs
+    /// and input gradients must match every round, and the accumulated
+    /// weight and bias gradients at the end.
+    fn check_conv_like(
+        layer: &mut dyn Layer,
+        g: Geom,
+        (oh, ow): (usize, usize),
+        forward: Forward,
+        backward: Backward,
+        rng: &mut StdRng,
+    ) {
+        randomize_bias(layer, rng);
+        // Gradients as if accumulated from earlier samples, with some `-0.0`
+        // entries: a skipped zero term leaves `-0.0` alone, an added one
+        // turns it into `+0.0`.
+        for param in layer.params_mut() {
+            for v in param.grad.data_mut() {
+                *v = match rng.gen_range(0..3u32) {
+                    0 => -0.0,
+                    _ => rng.gen_range(-0.1f32..0.1),
+                };
+            }
+        }
+        let wgt = layer.params()[0].value.data().to_vec();
+        let bias = layer.params()[1].value.data().to_vec();
+        let mut gw = layer.params()[0].grad.data().to_vec();
+        let mut gb = layer.params()[1].grad.data().to_vec();
+        for round in 0..2 {
+            let x = activations(rng, g.in_c * g.h * g.w);
+            let gy = sparse_grads(rng, g.out_c * oh * ow);
+            let y = layer.forward(&Tensor::from_vec(x.clone(), &[g.in_c, g.h, g.w]));
+            assert_eq!(y.shape(), &[g.out_c, oh, ow]);
+            assert_eq!(
+                bits(y.data()),
+                bits(&forward(g, &x, &wgt, &bias)),
+                "{g:?} round {round}: forward"
+            );
+            let gx = layer.backward(&Tensor::from_vec(gy.clone(), &[g.out_c, oh, ow]));
+            let gx_ref = backward(g, &x, &wgt, &gy, &mut gw, &mut gb);
+            assert_eq!(
+                bits(gx.data()),
+                bits(&gx_ref),
+                "{g:?} round {round}: input gradient"
+            );
+        }
+        let params = layer.params();
+        assert_eq!(
+            bits(params[0].grad.data()),
+            bits(&gw),
+            "{g:?}: weight gradient"
+        );
+        assert_eq!(
+            bits(params[1].grad.data()),
+            bits(&gb),
+            "{g:?}: bias gradient"
+        );
+    }
+
+    fn check_conv(g: Geom, rng: &mut StdRng) {
+        let mut conv = Conv2d::new(g.in_c, g.out_c, g.k, g.s, g.p, rng);
+        let out = (g.conv_out(g.h), g.conv_out(g.w));
+        check_conv_like(
+            &mut conv,
+            g,
+            out,
+            oracle::conv_forward,
+            oracle::conv_backward,
+            rng,
+        );
+    }
+
+    fn check_deconv(g: Geom, rng: &mut StdRng) {
+        let mut deconv = ConvTranspose2d::new(g.in_c, g.out_c, g.k, g.s, g.p, rng);
+        let out = (g.deconv_out(g.h), g.deconv_out(g.w));
+        check_conv_like(
+            &mut deconv,
+            g,
+            out,
+            oracle::deconv_forward,
+            oracle::deconv_backward,
+            rng,
+        );
+    }
+
+    fn check_dense(n_in: usize, n_out: usize, rng: &mut StdRng) {
+        let mut dense = Dense::new(n_in, n_out, rng);
+        randomize_bias(&mut dense, rng);
+        let wgt = dense.params()[0].value.data().to_vec();
+        let bias = dense.params()[1].value.data().to_vec();
+        let x = activations(rng, n_in);
+        let y = dense.forward(&Tensor::from_vec(x.clone(), &[n_in]));
+        assert_eq!(
+            bits(y.data()),
+            bits(&oracle::dense_forward(&x, &wgt, &bias)),
+            "dense {n_in}->{n_out}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(KERNEL_DIFF_CASES))]
+
+        /// Random geometries: kernel 1/3/4, stride 1/2, padding 0–2, 1–9
+        /// channels each way, sides from the smallest that fits the window.
+        #[test]
+        fn conv_kernels_match_direct_loop_oracle(
+            window in (0usize..3, 1usize..3, 0usize..3),
+            channels in (1usize..10, 1usize..10),
+            extra in (0usize..9, 0usize..9),
+            dense in (1usize..80, 1usize..20),
+            seed in 0u64..u64::MAX,
+        ) {
+            let ((k_pick, s, p), (in_c, out_c), (h_extra, w_extra), (n_in, n_out)) =
+                (window, channels, extra, dense);
+            let k = [1usize, 3, 4][k_pick];
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Conv2d needs side + 2p >= k.
+            let conv_min = k.saturating_sub(2 * p).max(1);
+            check_conv(Geom { in_c, out_c, k, s, p, h: conv_min + h_extra, w: conv_min + w_extra }, &mut rng);
+            // ConvTranspose2d needs (side - 1) * s + k >= 2p + 1.
+            let deconv_min = (1..).find(|n| (n - 1) * s + k > 2 * p).expect("some side fits");
+            check_deconv(Geom { in_c, out_c, k, s, p, h: deconv_min + h_extra, w: deconv_min + w_extra }, &mut rng);
+            check_dense(n_in, n_out, &mut rng);
+        }
+    }
+
+    /// Every layer shape of `PolicyConfig::small()` and `PolicyConfig::paper()`
+    /// on the 32×32 action grid, except the paper's 65536→512 projection: it
+    /// runs the same dense kernel as the small 4096→32 one on a longer row,
+    /// and its 33.5M weights would dominate this debug-build test's time.
+    #[test]
+    fn policy_layer_shapes_match_direct_loop_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let conv = |in_c, out_c, k, p, side| Geom {
+            in_c,
+            out_c,
+            k,
+            s: 1,
+            p,
+            h: side,
+            w: side,
+        };
+        let deconv = |in_c, out_c, side| Geom {
+            in_c,
+            out_c,
+            k: 4,
+            s: 2,
+            p: 1,
+            h: side,
+            w: side,
+        };
+        // Small: 6→4 conv, 8-4-4 deconvs, 4→3 head. Paper: 6-16-32-32-64-64
+        // convs, 32-16-8 deconvs, 8→3 head.
+        for g in [
+            conv(6, 4, 3, 1, 32),
+            conv(4, 3, 1, 0, 32),
+            conv(6, 16, 3, 1, 32),
+            conv(16, 32, 3, 1, 32),
+            conv(32, 32, 3, 1, 32),
+            conv(32, 64, 3, 1, 32),
+            conv(64, 64, 3, 1, 32),
+            conv(8, 3, 1, 0, 32),
+        ] {
+            check_conv(g, &mut rng);
+        }
+        for g in [
+            deconv(8, 8, 4),
+            deconv(8, 4, 8),
+            deconv(4, 4, 16),
+            deconv(32, 32, 4),
+            deconv(32, 16, 8),
+            deconv(16, 8, 16),
+        ] {
+            check_deconv(g, &mut rng);
+        }
+        // Small: 4096→32 CNN projection, 96→128 policy seed, 96→32 and 32→1
+        // value head. Paper: 576→512 policy seed, 576→256 and 256→1 value
+        // head.
+        for (n_in, n_out) in [
+            (4096, 32),
+            (96, 128),
+            (96, 32),
+            (32, 1),
+            (576, 512),
+            (576, 256),
+            (256, 1),
+        ] {
+            check_dense(n_in, n_out, &mut rng);
+        }
+    }
+}
