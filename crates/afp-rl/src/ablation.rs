@@ -33,7 +33,8 @@ pub fn all() -> Vec<Ablation> {
         full_method(),
         Ablation {
             name: "no-dead-space-mask",
-            description: "remove the dead-space mask f_ds (reverting to the MaskPlace-style state of [4])",
+            description:
+                "remove the dead-space mask f_ds (reverting to the MaskPlace-style state of [4])",
             flags: AblationFlags {
                 use_dead_space_mask: false,
                 ..AblationFlags::default()
@@ -89,10 +90,7 @@ mod tests {
 
     #[test]
     fn apply_sets_flags() {
-        let ablation = all()
-            .into_iter()
-            .find(|a| a.name == "no-rgcn")
-            .unwrap();
+        let ablation = all().into_iter().find(|a| a.name == "no-rgcn").unwrap();
         let config = apply(&ablation, AgentConfig::small());
         assert!(!config.ablation.use_encoder);
         assert!(config.ablation.use_dead_space_mask);

@@ -187,7 +187,8 @@ impl FloorplanAgent {
                 graph_embedding: Tensor::zeros(&[afp_gnn::EMBEDDING_DIM]),
             }
         };
-        self.embedding_cache.insert(name.to_string(), embedding.clone());
+        self.embedding_cache
+            .insert(name.to_string(), embedding.clone());
         embedding
     }
 
@@ -213,7 +214,11 @@ impl FloorplanAgent {
         }
         Tensor::from_vec(
             data,
-            &[afp_layout::STATE_CHANNELS, afp_layout::GRID_SIZE, afp_layout::GRID_SIZE],
+            &[
+                afp_layout::STATE_CHANNELS,
+                afp_layout::GRID_SIZE,
+                afp_layout::GRID_SIZE,
+            ],
         )
     }
 
@@ -318,8 +323,7 @@ impl FloorplanAgent {
                 Some(b) => {
                     let placed = candidate.floorplan.num_placed();
                     let best_placed = b.floorplan.num_placed();
-                    placed > best_placed
-                        || (placed == best_placed && candidate.reward > b.reward)
+                    placed > best_placed || (placed == best_placed && candidate.reward > b.reward)
                 }
             };
             if better {

@@ -29,7 +29,10 @@ impl HclSchedule {
     /// Creates a schedule. `circuits` should be ordered by increasing
     /// complexity (the paper trains on 3-, 3-, 5-, 8- and 9-block circuits).
     pub fn new(circuits: Vec<Circuit>, episodes_per_circuit: usize) -> Self {
-        assert!(!circuits.is_empty(), "curriculum needs at least one circuit");
+        assert!(
+            !circuits.is_empty(),
+            "curriculum needs at least one circuit"
+        );
         HclSchedule {
             circuits,
             episodes_per_circuit: episodes_per_circuit.max(1),
@@ -119,13 +122,16 @@ pub fn inject_random_constraint<R: Rng + ?Sized>(circuit: &mut Circuit, rng: &mu
         Axis::Horizontal
     };
     if rng.gen_bool(0.5) {
+        circuit.constraints.push(Constraint::Symmetry(
+            SymmetryGroup::new(axis).with_pair(a, b),
+        ));
+    } else {
         circuit
             .constraints
-            .push(Constraint::Symmetry(SymmetryGroup::new(axis).with_pair(a, b)));
-    } else {
-        circuit.constraints.push(Constraint::Alignment(
-            afp_circuit::AlignmentGroup::new(axis, vec![a, b]),
-        ));
+            .push(Constraint::Alignment(afp_circuit::AlignmentGroup::new(
+                axis,
+                vec![a, b],
+            )));
     }
 }
 

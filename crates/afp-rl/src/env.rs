@@ -236,17 +236,15 @@ impl FloorplanEnv {
         }
 
         // Detect dead ends for the next block (no admissible action at all).
-        if let Some(next_obs) = self.observe() {
-            if next_obs.num_valid_actions() == 0 {
-                self.termination = Termination::DeadEnd;
-                reward += self.weights.violation_penalty;
-                self.accumulated_reward += reward;
-                return StepOutcome {
-                    reward,
-                    done: true,
-                    termination: self.termination,
-                };
-            }
+        if self.next_block_is_stuck() {
+            self.termination = Termination::DeadEnd;
+            reward += self.weights.violation_penalty;
+            self.accumulated_reward += reward;
+            return StepOutcome {
+                reward,
+                done: true,
+                termination: self.termination,
+            };
         }
 
         self.accumulated_reward += reward;
@@ -255,6 +253,26 @@ impl FloorplanEnv {
             done: false,
             termination: Termination::Running,
         }
+    }
+
+    /// Whether the block about to be placed has no admissible cell for any
+    /// candidate shape: the verdict of `observe().num_valid_actions() == 0`
+    /// (the action mask is the positional masks laid end to end), without
+    /// building the wire and dead-space masks, and stopping at the first
+    /// shape that fits somewhere.
+    fn next_block_is_stuck(&self) -> bool {
+        let block = self.order[self.step_index];
+        let shapes = &self.shape_sets[block.index()];
+        (0..afp_circuit::SHAPES_PER_BLOCK).all(|k| {
+            afp_layout::masks::positional_mask(
+                &self.circuit,
+                &self.floorplan,
+                block,
+                &shapes.shape(k),
+            )
+            .iter()
+            .all(|&v| v <= 0.0)
+        })
     }
 
     /// Final episode reward (Eq. 5) of the floorplan built so far — the metric
@@ -366,6 +384,51 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// Seeded random-valid rollouts on the training circuits with their
+    /// constraints kept (Table I strips them; dead ends come from them):
+    /// `step` must end an episode with `DeadEnd` exactly when the next
+    /// block's full observation has no admissible action.
+    #[test]
+    fn dead_end_verdict_matches_the_full_observation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut steps, mut dead_ends) = (0usize, 0usize);
+        for circuit in generators::training_set() {
+            let mut env = FloorplanEnv::new(circuit);
+            for _ in 0..40 {
+                let mut obs = env.reset().unwrap();
+                loop {
+                    let valid: Vec<usize> = (0..ACTION_SPACE)
+                        .filter(|&i| obs.action_mask[i] > 0.0)
+                        .collect();
+                    let action = valid[rng.gen_range(0..valid.len())];
+                    let outcome = env.step(Action::from_index(action));
+                    steps += 1;
+                    if outcome.termination == Termination::Completed {
+                        break;
+                    }
+                    // The observation the historical check built after the
+                    // step, made even when the episode has just ended.
+                    let mut probe = env.clone();
+                    probe.termination = Termination::Running;
+                    let next = probe.observe().expect("a block is left to place");
+                    let stuck = next.num_valid_actions() == 0;
+                    assert_eq!(outcome.termination == Termination::DeadEnd, stuck);
+                    assert_eq!(outcome.done, stuck);
+                    if stuck {
+                        dead_ends += 1;
+                        break;
+                    }
+                    obs = next;
+                }
+            }
+        }
+        println!("random-valid rollouts: {steps} steps, {dead_ends} dead ends");
+        assert!(dead_ends > 0, "the rollouts never reached a dead end");
     }
 
     #[test]

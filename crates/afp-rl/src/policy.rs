@@ -15,7 +15,9 @@ use rand::Rng;
 
 use afp_circuit::SHAPES_PER_BLOCK;
 use afp_layout::{GRID_SIZE, STATE_CHANNELS};
-use afp_tensor::layers::{Activation, Conv2d, ConvTranspose2d, Dense, Flatten, Reshape, Sequential};
+use afp_tensor::layers::{
+    Activation, Conv2d, ConvTranspose2d, Dense, Flatten, Reshape, Sequential,
+};
 use afp_tensor::{Layer, Param, StateDict, Tensor};
 
 use crate::action::ACTION_SPACE;
@@ -200,14 +202,13 @@ impl ActorCritic {
     pub fn backward(&mut self, grad_logits: &Tensor, grad_value: f32) -> Tensor {
         let grad_map = grad_logits.reshape(&[SHAPES_PER_BLOCK, GRID_SIZE, GRID_SIZE]);
         let grad_state_from_policy = self.policy_head.backward(&grad_map);
-        let grad_state_from_value = self
-            .value_head
-            .backward(&Tensor::from_slice(&[grad_value]));
+        let grad_state_from_value = self.value_head.backward(&Tensor::from_slice(&[grad_value]));
         let grad_state = grad_state_from_policy.add(&grad_state_from_value);
         let split = self.config.cnn_feature_dim;
         let grad_cnn = Tensor::from_slice(&grad_state.data()[..split]);
         let grad_embeddings = Tensor::from_slice(&grad_state.data()[split..]);
-        self.cnn.backward(&grad_cnn);
+        // The observation is data, not a parameter: its gradient is never read.
+        self.cnn.backward_params(&grad_cnn);
         grad_embeddings
     }
 

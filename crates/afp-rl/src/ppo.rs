@@ -8,10 +8,10 @@
 use rand::Rng;
 
 use afp_tensor::optim::{clip_grad_norm, Adam};
-use afp_tensor::{loss::categorical_entropy, Tensor};
+use afp_tensor::Tensor;
 
 use crate::policy::ActorCritic;
-use crate::rollout::RolloutBuffer;
+use crate::rollout::{RolloutBuffer, Transition};
 
 /// Logit value assigned to masked-out actions (effectively −∞).
 const MASKED_LOGIT: f32 = -1.0e9;
@@ -151,19 +151,125 @@ pub struct PpoStats {
     pub gradient_steps: usize,
 }
 
+/// The PPO loss head over the masked action distribution, with buffers
+/// reused from one transition to the next.
+///
+/// It reproduces, bit for bit, the dense formulation — `log_softmax` of
+/// [`apply_mask`]'s logits, `categorical_entropy` of the same, the surrogate
+/// and entropy gradients over every action, masked gradients zeroed, scaled
+/// by `1 / minibatch` — while visiting only the admissible actions. A masked
+/// action's logit is [`MASKED_LOGIT`], so its softmax term is exactly `+0.0`
+/// whenever some admissible logit exceeds `MASKED_LOGIT + 104` (where `exp`
+/// underflows), which every usable policy satisfies: it adds nothing to the
+/// max, the softmax sum or the entropy, and its gradient ends at `+0.0`.
+#[derive(Debug, Default)]
+struct LossHead {
+    /// Indices of the admissible actions, ascending.
+    admissible: Vec<usize>,
+    /// Their log-probabilities and probabilities.
+    log_probs: Vec<f32>,
+    probs: Vec<f32>,
+    /// Entropy of the masked distribution.
+    entropy: f32,
+    grad: Tensor,
+}
+
+impl LossHead {
+    /// The masked log-softmax and entropy of `logits`, kept for
+    /// [`Self::grad_logits`]; returns the log-probability of `action`.
+    fn evaluate(&mut self, logits: &Tensor, mask: &[f32], action: usize) -> f32 {
+        assert_eq!(logits.len(), mask.len(), "mask / logit length mismatch");
+        let logits = logits.data();
+        self.admissible.clear();
+        let mut max = f32::NEG_INFINITY;
+        for (i, (&l, &m)) in logits.iter().zip(mask).enumerate() {
+            if m > 0.0 {
+                self.admissible.push(i);
+                max = max.max(l);
+            }
+        }
+        debug_assert!(
+            max > MASKED_LOGIT + 104.0,
+            "masking needs an admissible logit far above MASKED_LOGIT, got {max}"
+        );
+        let sum: f32 = self
+            .admissible
+            .iter()
+            .map(|&i| (logits[i] - max).exp())
+            .sum();
+        let log_sum = sum.ln() + max;
+        self.log_probs.clear();
+        self.log_probs
+            .extend(self.admissible.iter().map(|&i| logits[i] - log_sum));
+        self.probs.clear();
+        self.probs.extend(self.log_probs.iter().map(|&lp| lp.exp()));
+        // `categorical_entropy` sums `p · log p` over every action; each
+        // masked one adds a `+0.0`, which the trailing term stands for (the
+        // terms are never positive, so where it lands does not matter).
+        let any_masked = self.admissible.len() < logits.len();
+        let plogp: f32 = self
+            .probs
+            .iter()
+            .zip(&self.log_probs)
+            .map(|(&p, &lp)| if p > 0.0 { p * lp } else { 0.0 })
+            .chain(any_masked.then_some(0.0))
+            .sum();
+        if self.grad.len() != logits.len() {
+            self.grad = Tensor::zeros(&[logits.len()]);
+        }
+        self.entropy = -plogp;
+        let taken = if mask[action] > 0.0 {
+            logits[action]
+        } else {
+            MASKED_LOGIT
+        };
+        taken - log_sum
+    }
+
+    /// `dLoss / dlogits` of the last [`Self::evaluate`]d transition, times
+    /// `scale`: the surrogate term `d_loss_d_logp · (one_hot(action) −
+    /// softmax)` minus `entropy_coef · dH/dlogits`, zero on masked actions.
+    fn grad_logits(
+        &mut self,
+        action: usize,
+        d_loss_d_logp: f32,
+        entropy_coef: f32,
+        scale: f32,
+    ) -> &Tensor {
+        let grad = self.grad.data_mut();
+        grad.fill(0.0);
+        let terms = self.log_probs.iter().zip(&self.probs);
+        for (&i, (&lp, &p)) in self.admissible.iter().zip(terms) {
+            let mut g = p * -d_loss_d_logp;
+            if i == action {
+                g += d_loss_d_logp;
+            }
+            // dH/dz_j = -p_j * (log p_j + H)
+            g += -p * (lp + self.entropy) * -entropy_coef;
+            grad[i] = g * scale;
+        }
+        &self.grad
+    }
+}
+
 /// Runs PPO updates on an [`ActorCritic`] from collected rollouts.
 #[derive(Debug)]
 pub struct PpoTrainer {
     /// Hyper-parameters.
     pub config: PpoConfig,
     optimizer: Adam,
+    head: LossHead,
 }
 
 impl PpoTrainer {
     /// Creates a trainer.
     pub fn new(config: PpoConfig) -> Self {
         let optimizer = Adam::new(config.learning_rate);
-        PpoTrainer { config, optimizer }
+        PpoTrainer {
+            config,
+            optimizer,
+            head: LossHead::default(),
+        }
     }
 
     /// Performs one PPO update over the buffer and returns diagnostics.
@@ -195,56 +301,14 @@ impl PpoTrainer {
                     let advantage = (advantages[idx] - adv_mean) / adv_std;
                     let target_return = returns[idx];
 
-                    let out = policy.forward(&t.masks, &t.graph_embedding, &t.node_embedding);
-                    let masked = apply_mask(&out.logits, &t.action_mask);
-                    let log_probs = masked.log_softmax();
-                    let new_log_prob = log_probs.get(t.action);
-                    let ratio = (new_log_prob - t.log_prob).exp();
-
-                    // Clipped surrogate loss and its gradient wrt the chosen
-                    // action's log-probability.
-                    let unclipped = ratio * advantage;
-                    let clipped =
-                        ratio.clamp(1.0 - self.config.clip_range, 1.0 + self.config.clip_range)
-                            * advantage;
-                    let policy_loss = -unclipped.min(clipped);
-                    let gradient_active = if advantage >= 0.0 {
-                        ratio <= 1.0 + self.config.clip_range
-                    } else {
-                        ratio >= 1.0 - self.config.clip_range
-                    };
-                    let d_loss_d_logp = if gradient_active {
-                        -advantage * ratio
-                    } else {
-                        0.0
-                    };
-
-                    // d log_prob / d logits = one_hot(action) − softmax, so
-                    // dLoss/dlogits = d_loss_d_logp · (one_hot − softmax).
-                    let probs = log_probs.map(f32::exp);
-                    let mut grad_logits = probs.scale(-d_loss_d_logp);
-                    grad_logits.data_mut()[t.action] += d_loss_d_logp;
-
-                    // Entropy bonus (maximized ⇒ subtract its gradient).
-                    let (entropy, entropy_grad) = categorical_entropy(&masked);
-                    grad_logits.add_scaled_inplace(&entropy_grad, -self.config.entropy_coef);
-
-                    // Zero out gradients of masked actions entirely: their
-                    // probabilities are numerically zero and must stay so.
-                    for (g, &m) in grad_logits.data_mut().iter_mut().zip(t.action_mask.iter()) {
-                        if m <= 0.0 {
-                            *g = 0.0;
-                        }
-                    }
-
-                    // Value loss.
-                    let value_error = out.value - target_return;
-                    let value_loss = value_error * value_error;
-                    let grad_value = 2.0 * self.config.value_coef * value_error;
-
                     // Scale by 1 / minibatch for a mean over the minibatch.
                     let scale = 1.0 / chunk.len() as f32;
-                    policy.backward(&grad_logits.scale(scale), grad_value * scale);
+                    let TransitionLoss {
+                        policy_loss,
+                        value_loss,
+                        entropy,
+                        ratio,
+                    } = self.accumulate_transition(policy, t, advantage, target_return, scale);
 
                     stats.policy_loss += policy_loss;
                     stats.value_loss += value_loss;
@@ -266,13 +330,72 @@ impl PpoTrainer {
         stats.approx_kl /= denom;
         stats
     }
+
+    /// One transition of a minibatch: evaluates the policy, returns the loss
+    /// terms and accumulates `scale` times the gradient of
+    /// `policy_loss + value_coef · value_loss − entropy_coef · entropy` into
+    /// the policy's parameter gradients.
+    fn accumulate_transition(
+        &mut self,
+        policy: &mut ActorCritic,
+        t: &Transition,
+        advantage: f32,
+        target_return: f32,
+        scale: f32,
+    ) -> TransitionLoss {
+        let out = policy.forward(&t.masks, &t.graph_embedding, &t.node_embedding);
+        let log_prob = self.head.evaluate(&out.logits, &t.action_mask, t.action);
+        let ratio = (log_prob - t.log_prob).exp();
+
+        // Clipped surrogate loss and its gradient wrt the chosen action's
+        // log-probability.
+        let unclipped = ratio * advantage;
+        let clipped =
+            ratio.clamp(1.0 - self.config.clip_range, 1.0 + self.config.clip_range) * advantage;
+        let policy_loss = -unclipped.min(clipped);
+        let gradient_active = if advantage >= 0.0 {
+            ratio <= 1.0 + self.config.clip_range
+        } else {
+            ratio >= 1.0 - self.config.clip_range
+        };
+        let d_loss_d_logp = if gradient_active {
+            -advantage * ratio
+        } else {
+            0.0
+        };
+
+        // Value loss.
+        let value_error = out.value - target_return;
+        let value_loss = value_error * value_error;
+        let grad_value = 2.0 * self.config.value_coef * value_error;
+
+        let grad_logits =
+            self.head
+                .grad_logits(t.action, d_loss_d_logp, self.config.entropy_coef, scale);
+        policy.backward(grad_logits, grad_value * scale);
+        TransitionLoss {
+            policy_loss,
+            value_loss,
+            entropy: self.head.entropy,
+            ratio,
+        }
+    }
+}
+
+/// The loss terms of one transition.
+#[derive(Debug, Clone, Copy)]
+struct TransitionLoss {
+    policy_loss: f32,
+    value_loss: f32,
+    entropy: f32,
+    /// New over behaviour probability of the taken action.
+    ratio: f32,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::PolicyConfig;
-    use crate::rollout::Transition;
     use afp_layout::{GRID_SIZE, STATE_CHANNELS};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -314,7 +437,11 @@ mod tests {
     }
 
     /// Builds a tiny synthetic buffer whose transitions all prefer action 0.
-    fn synthetic_buffer(policy: &mut ActorCritic, cfg: &PpoConfig, reward_for_zero: f32) -> RolloutBuffer {
+    fn synthetic_buffer(
+        policy: &mut ActorCritic,
+        cfg: &PpoConfig,
+        reward_for_zero: f32,
+    ) -> RolloutBuffer {
         let mut rng = StdRng::seed_from_u64(7);
         let mut buffer = RolloutBuffer::new(cfg.gamma, cfg.gae_lambda);
         for _ in 0..6 {
@@ -383,6 +510,175 @@ mod tests {
             after > before,
             "probability of the rewarded action did not increase: {before} → {after}"
         );
+    }
+
+    /// The loss head against the dense formulation it replaced, kept here
+    /// as the oracle: masked logits, `log_softmax`, `categorical_entropy`
+    /// and gradients over every action, masked ones zeroed, then scaled.
+    /// The taken action's log-probability, the entropy and every gradient
+    /// must match in `f32` bits, for masks from one admissible action to
+    /// all of them.
+    #[test]
+    fn loss_head_matches_the_dense_formulation_bit_for_bit() {
+        use afp_tensor::loss::categorical_entropy;
+        use rand::Rng;
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut head = LossHead::default();
+        let n = crate::action::ACTION_SPACE;
+        for case in 0..40 {
+            let logits =
+                Tensor::from_vec((0..n).map(|_| rng.gen_range(-6.0f32..6.0)).collect(), &[n]);
+            let admissible_share = [0.0, 0.02, 0.3, 0.9, 1.0][case % 5];
+            let mut mask: Vec<f32> = (0..n)
+                .map(|_| {
+                    if rng.gen::<f64>() < admissible_share {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let action = rng.gen_range(0..n);
+            mask[action] = 1.0;
+            // A lone admissible `-0.0` logit: its `p · log p` is `-0.0`, so
+            // the masked actions' `+0.0` terms decide the entropy's sign.
+            let mut logits = logits;
+            if case % 10 == 0 {
+                logits.data_mut()[action] = -0.0;
+            }
+            let d = rng.gen_range(-2.0f32..2.0);
+            let (coef, scale) = (rng.gen_range(0.0f32..0.1), 1.0 / rng.gen_range(1..9) as f32);
+
+            let masked = apply_mask(&logits, &mask);
+            let log_probs = masked.log_softmax();
+            let (entropy, entropy_grad) = categorical_entropy(&masked);
+            let mut dense = log_probs.map(f32::exp).scale(-d);
+            dense.data_mut()[action] += d;
+            dense.add_scaled_inplace(&entropy_grad, -coef);
+            for (g, &m) in dense.data_mut().iter_mut().zip(&mask) {
+                if m <= 0.0 {
+                    *g = 0.0;
+                }
+            }
+            let dense = dense.scale(scale);
+
+            let log_prob = head.evaluate(&logits, &mask, action);
+            assert_eq!(
+                log_prob.to_bits(),
+                log_probs.get(action).to_bits(),
+                "case {case}"
+            );
+            assert_eq!(head.entropy.to_bits(), entropy.to_bits(), "case {case}");
+            let grad = head.grad_logits(action, d, coef, scale);
+            assert_eq!(bits(grad.data()), bits(dense.data()), "case {case}");
+        }
+    }
+
+    /// End-to-end gradient check of the PPO loss on `PolicyConfig::small`:
+    /// the parameter gradients one transition accumulates through the
+    /// masked log-softmax, the clipped surrogate, the entropy bonus and the
+    /// value loss must match central finite differences of the loss the
+    /// same call reports, for the parameters with the largest gradients and
+    /// for a spread of the others.
+    #[test]
+    fn ppo_loss_gradient_matches_finite_differences() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut policy = ActorCritic::new(PolicyConfig::small(), &mut rng);
+        // Nonzero biases: with the zero initial biases, outputs fed only by
+        // ReLU-dead inputs sit exactly on a kink, where a central difference
+        // averages the two one-sided slopes.
+        for p in policy.params_mut() {
+            if p.name.ends_with("bias") {
+                p.value =
+                    afp_tensor::Init::XavierUniform.sample(&mut rng, p.value.shape(), 400, 400);
+            }
+        }
+        let cfg = PpoConfig {
+            entropy_coef: 0.05,
+            ..PpoConfig::small()
+        };
+        let mut trainer = PpoTrainer::new(cfg.clone());
+        let init = afp_tensor::Init::XavierUniform;
+        let g = init.sample(&mut rng, &[crate::policy::EMBEDDING_DIM], 32, 32);
+        let nb = init.sample(&mut rng, &[crate::policy::EMBEDDING_DIM], 32, 32);
+        let mask: Vec<f32> = (0..crate::action::ACTION_SPACE)
+            .map(|i| if i % 3 == 0 || i % 7 == 0 { 1.0 } else { 0.0 })
+            .collect();
+        let out = policy.forward(&probe_masks(), &g, &nb);
+        let action = greedy_masked_action(&out.logits, &mask);
+        let log_prob = masked_log_softmax(&out.logits, &mask).get(action);
+        let objective = |l: &TransitionLoss| {
+            l.policy_loss + cfg.value_coef * l.value_loss - cfg.entropy_coef * l.entropy
+        };
+        // (advantage, behaviour log-probability offset): a ratio inside the
+        // clip range either way, and one clipped (surrogate gradient zero).
+        for (advantage, offset) in [(1.5f32, 0.05f32), (-0.7, -0.1), (1.0, 0.5)] {
+            let t = Transition {
+                masks: probe_masks(),
+                graph_embedding: g.clone(),
+                node_embedding: nb.clone(),
+                action_mask: mask.clone(),
+                action,
+                log_prob: log_prob - offset,
+                value: out.value,
+                reward: 0.0,
+                done: true,
+            };
+            let target = out.value + 0.8;
+            policy.zero_grad();
+            let loss = trainer.accumulate_transition(&mut policy, &t, advantage, target, 1.0);
+            assert!(loss.ratio.is_finite());
+            let analytic: Vec<Vec<f32>> = policy
+                .params()
+                .iter()
+                .map(|p| p.grad.data().to_vec())
+                .collect();
+            // Every parameter tensor: its largest gradient and a few fixed
+            // picks, so zero gradients are checked too.
+            let mut picks = Vec::new();
+            for (pi, grads) in analytic.iter().enumerate() {
+                let top = (0..grads.len())
+                    .max_by(|&a, &b| grads[a].abs().total_cmp(&grads[b].abs()))
+                    .expect("nonempty parameter");
+                picks.push((pi, top));
+                for j in [0, grads.len() / 3, grads.len() - 1] {
+                    picks.push((pi, j));
+                }
+            }
+            // A central difference across a ReLU kink averages two slopes;
+            // such a pick shows as one-sided differences that disagree, and
+            // is skipped. Most picks must be smooth.
+            let eps = 1e-2f32;
+            let close = |x: f32, y: f32| (x - y).abs() <= 0.05 * x.abs().max(y.abs()).max(1e-2);
+            let (mut checked, mut kinked) = (0, 0);
+            for (pi, j) in picks {
+                let orig = policy.params()[pi].value.data()[j];
+                let mut at = |v: f32, policy: &mut ActorCritic| {
+                    policy.params_mut()[pi].value.data_mut()[j] = v;
+                    objective(&trainer.accumulate_transition(policy, &t, advantage, target, 1.0))
+                };
+                let plus = at(orig + eps, &mut policy);
+                let minus = at(orig - eps, &mut policy);
+                let centre = at(orig, &mut policy);
+                if !close((plus - centre) / eps, (centre - minus) / eps) {
+                    kinked += 1;
+                    continue;
+                }
+                let numeric = (plus - minus) / (2.0 * eps);
+                let a = analytic[pi][j];
+                assert!(
+                    close(numeric, a),
+                    "advantage {advantage}: parameter {pi}[{j}] analytic {a} numeric {numeric}"
+                );
+                checked += 1;
+            }
+            assert!(
+                checked >= 3 * kinked,
+                "advantage {advantage}: {kinked} picks kinked, {checked} checked"
+            );
+        }
     }
 
     #[test]

@@ -33,8 +33,7 @@ pub fn check_layer_gradients<L: Layer + ?Sized>(layer: &mut L, input: &Tensor) -
     let out = layer.forward(input);
     let (_, grad_out) = probe_loss(&out);
     let grad_in = layer.backward(&grad_out);
-    let analytic_param_grads: Vec<Tensor> =
-        layer.params().iter().map(|p| p.grad.clone()).collect();
+    let analytic_param_grads: Vec<Tensor> = layer.params().iter().map(|p| p.grad.clone()).collect();
 
     let mut max_err = 0.0f32;
 

@@ -17,6 +17,8 @@ use crate::{Param, Tensor};
 ///   needs from the most recent forward pass.
 /// * `backward` accumulates parameter gradients (it does **not** overwrite
 ///   them) and returns `dL/d input`.
+/// * `backward_params` accumulates exactly the parameter gradients
+///   `backward` would, bit for bit, without computing `dL/d input`.
 /// * `zero_grad` clears all accumulated parameter gradients.
 pub trait Layer: Send {
     /// Runs the layer on `input`, caching activations needed for `backward`.
@@ -29,6 +31,19 @@ pub trait Layer: Send {
     ///
     /// Implementations may panic if `forward` has not been called.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// Propagates `grad_output` into the parameter gradients only, for a
+    /// layer whose input gradient nobody reads (the first layer of a
+    /// network). The accumulated gradients are bit-identical to those of
+    /// [`Layer::backward`]; layers that can skip the input-gradient work
+    /// override the default, which calls `backward` and drops its result.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `forward` has not been called.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward(grad_output);
+    }
 
     /// Immutable access to the learnable parameters.
     fn params(&self) -> Vec<&Param>;

@@ -2,7 +2,10 @@
 
 use rand::Rng;
 
-use super::kernels::{channels_first_into, channels_last, lanes_axpy, offsets, Phases, RowPlan};
+use super::kernels::{
+    axpy, axpy_nonzero, channels_first_into, channels_last, copy_short, lanes_axpy, offsets,
+    Phases, RowPlan,
+};
 use crate::{Init, Layer, Param, Tensor};
 
 /// A 2-D convolution layer.
@@ -102,6 +105,102 @@ impl Conv2d {
         let (h, w) = (input.shape()[1], input.shape()[2]);
         (h, w, self.output_size(h), self.output_size(w))
     }
+
+    /// Whether the kernel is pointwise: 1×1 at stride 1 without padding, so
+    /// output position `pos` reads input position `pos` only.
+    fn is_pointwise(&self) -> bool {
+        (self.kernel, self.stride, self.padding) == (1, 1, 0)
+    }
+
+    /// Accumulates the bias and weight gradients of the cached forward pass
+    /// and returns the cached input's `(h, w, oh, ow)`.
+    fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> (usize, usize, usize, usize) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("Conv2d::backward called before forward");
+        let (h, w, oh, ow) = self.check_input(input);
+        assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow]);
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let (in_c, out_c) = (self.in_channels, self.out_channels);
+        let plane = oh * ow;
+        let gy = grad_output.data();
+
+        for (oc, acc) in self.bias.grad.data_mut().iter_mut().enumerate() {
+            for &g in &gy[oc * plane..(oc + 1) * plane] {
+                let sum = *acc + g;
+                *acc = if g != 0.0 { sum } else { *acc };
+            }
+        }
+
+        // Positions in ascending order; at each, every output channel with a
+        // nonzero gradient adds its scaled window to its weight row
+        // `[ic, ky, kx]`. A pointwise window is one input position;
+        // otherwise an interior window is gathered into a patch laid out
+        // like that row, and a window cut by the padding adds its in-bounds
+        // kernel rows span by span.
+        let pointwise = self.is_pointwise();
+        let x = input.data();
+        let gw = self.weight.grad.data_mut();
+        if pointwise {
+            for pos in 0..plane {
+                for oc in 0..out_c {
+                    let g = gy[oc * plane + pos];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for (ic, acc) in gw[oc * in_c..][..in_c].iter_mut().enumerate() {
+                        *acc += g * x[ic * plane + pos];
+                    }
+                }
+            }
+            return (h, w, oh, ow);
+        }
+        let taps = in_c * k * k;
+        let mut patch = vec![0.0f32; taps];
+        for oy in 0..oh {
+            let kys = offsets(oy, k, s, p, h);
+            for ox in 0..ow {
+                let pos = oy * ow + ox;
+                let kxs = offsets(ox, k, s, p, w);
+                if kxs.is_empty() || (0..out_c).all(|oc| gy[oc * plane + pos] == 0.0) {
+                    continue;
+                }
+                let ix = ox * s + kxs.start - p;
+                let interior = kys.len() == k && kxs.len() == k;
+                if interior {
+                    for (ic, rows) in patch.chunks_exact_mut(k * k).enumerate() {
+                        for (ky, row) in rows.chunks_exact_mut(k).enumerate() {
+                            let iy = oy * s + ky - p;
+                            copy_short(row, &x[(ic * h + iy) * w + ix..][..k]);
+                        }
+                    }
+                }
+                for oc in 0..out_c {
+                    let g = gy[oc * plane + pos];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let row = &mut gw[oc * taps..][..taps];
+                    if interior {
+                        axpy(row, &patch, g);
+                        continue;
+                    }
+                    for ic in 0..in_c {
+                        for ky in kys.clone() {
+                            let iy = oy * s + ky - p;
+                            axpy(
+                                &mut row[(ic * k + ky) * k + kxs.start..][..kxs.len()],
+                                &x[(ic * h + iy) * w + ix..][..kxs.len()],
+                                g,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        (h, w, oh, ow)
+    }
 }
 
 // Every kernel below keeps, per output and gradient element, the summation
@@ -110,9 +209,13 @@ impl Conv2d {
 //
 // * forward `out[oc, oy, ox]`: the bias, then `(ic, ky, kx)` ascending,
 //   padded taps skipped — a gather, one output row at a time;
-// * weight and bias gradients: `(oy, ox)` ascending; input gradient
-//   `gx[ic, iy, ix]`: `(oc, oy, ox)` ascending — the direct scatter loop
-//   over the output gradient itself, zero gradients skipped, with input
+// * weight and bias gradients: `(oy, ox)` ascending, zero gradients
+//   skipped — patch rows, one position at a time
+//   (`accumulate_param_grads`);
+// * input gradient `gx[ic, iy, ix]`: `(oc, oy, ox)` ascending, zero
+//   gradients skipped — for a pointwise kernel (one term per `oc`), whole
+//   input-channel planes at a time; otherwise the
+//   direct scatter loop over the output gradient itself, with input
 //   channels in lanes.
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
@@ -131,7 +234,7 @@ impl Layer for Conv2d {
                 for ic in 0..in_c {
                     for ky in offsets(oy, k, s, p, h) {
                         let iy = oy * s + ky - p;
-                        plan.apply::<false>(
+                        plan.apply(
                             row,
                             &x[(ic * h + iy) * w..][..w],
                             &wgt[((oc * in_c + ic) * k + ky) * k..][..k],
@@ -145,28 +248,27 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Conv2d::backward called before forward");
-        let (h, w, oh, ow) = self.check_input(input);
-        assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow]);
+        let (h, w, oh, ow) = self.accumulate_param_grads(grad_output);
         let (k, s, p) = (self.kernel, self.stride, self.padding);
         let (in_c, out_c) = (self.in_channels, self.out_channels);
         let gy = grad_output.data();
+        let wgt = self.weight.value.data();
 
-        for (oc, acc) in self.bias.grad.data_mut().iter_mut().enumerate() {
-            for &g in &gy[oc * oh * ow..(oc + 1) * oh * ow] {
-                let sum = *acc + g;
-                *acc = if g != 0.0 { sum } else { *acc };
+        if self.is_pointwise() {
+            let plane = h * w;
+            let mut gx = vec![0.0f32; in_c * plane];
+            for oc in 0..out_c {
+                let g = &gy[oc * plane..][..plane];
+                for (ic, row) in gx.chunks_exact_mut(plane).enumerate() {
+                    axpy_nonzero(row, g, wgt[oc * in_c + ic]);
+                }
             }
+            return Tensor::from_vec(gx, &[in_c, h, w]);
         }
 
-        // [iy, ix, ic lanes] and [oc, ky, kx, ic lanes]: one kernel row of
+        // [oc, ky, kx, ic lanes] and [iy, ix, ic lanes]: one kernel row of
         // either is a contiguous span of lane blocks.
-        let (x, lanes) = channels_last(input.data(), 1, in_c, h * w);
-        let (wgt, _) = channels_last(self.weight.value.data(), out_c, in_c, k * k);
-        let (mut gw, _) = channels_last(self.weight.grad.data(), out_c, in_c, k * k);
+        let (wgt, lanes) = channels_last(wgt, out_c, in_c, k * k);
         let mut gx = vec![0.0f32; h * w * lanes];
         for oc in 0..out_c {
             for oy in 0..oh {
@@ -181,20 +283,22 @@ impl Layer for Conv2d {
                     let ix = ox * s + kxs.start - p;
                     for ky in kys.clone() {
                         let iy = oy * s + ky - p;
-                        let wi = ((oc * k + ky) * k + kxs.start) * lanes;
-                        let xi = (iy * w + ix) * lanes;
-                        lanes_axpy(&mut gw[wi..][..span], &x[xi..][..span], g);
-                        lanes_axpy(&mut gx[xi..][..span], &wgt[wi..][..span], g);
+                        lanes_axpy(
+                            &mut gx[(iy * w + ix) * lanes..][..span],
+                            &wgt[((oc * k + ky) * k + kxs.start) * lanes..][..span],
+                            g,
+                        );
                     }
                 }
             }
         }
-        channels_first_into(&gw, in_c, k * k, lanes, self.weight.grad.data_mut());
-        // The channels-last input copy is spent; its buffer takes the result.
-        let mut grad_input = x;
-        grad_input.truncate(in_c * h * w);
+        let mut grad_input = vec![0.0f32; in_c * h * w];
         channels_first_into(&gx, in_c, h * w, lanes, &mut grad_input);
         Tensor::from_vec(grad_input, &[in_c, h, w])
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.accumulate_param_grads(grad_output);
     }
 
     fn params(&self) -> Vec<&Param> {

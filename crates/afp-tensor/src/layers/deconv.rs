@@ -3,7 +3,7 @@
 use rand::Rng;
 
 use super::kernels::{
-    channels_first_into, channels_last, lanes_axpy, lanes_axpy_nonzero, offsets, Phases, RowPlan,
+    axpy_nonzero, channels_first_into, channels_last, copy_short, lanes_axpy, offsets,
 };
 use crate::{Init, Layer, Param, Tensor};
 
@@ -118,13 +118,14 @@ impl ConvTranspose2d {
 // (see `kernels` for why that is the contract):
 //
 // * forward `out[oc, oy, ox]`: the bias if nonzero, else `+0.0`, then
-//   `(ic, iy, ix)` ascending, zero activations skipped; weight gradient:
-//   `(iy, ix)` ascending, zero gradients skipped — both the direct
+//   `(ic, iy, ix)` ascending, zero activations skipped — the direct
 //   scatter loop over the input, with output channels in lanes;
+// * weight gradient: `(iy, ix)` ascending, zero gradients skipped (zero
+//   activations are not) — patch rows, one input position at a time;
 // * bias gradient: every output position ascending;
 // * input gradient `gx[ic, iy, ix]`: a `+0.0` accumulator summing
-//   `(oc, ky, kx)` ascending, zero gradients skipped — a gather, one input
-//   row at a time.
+//   `(oc, ky, kx)` ascending, zero gradients skipped — the same patches,
+//   a whole input plane at a time.
 impl Layer for ConvTranspose2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let (h, w, oh, ow) = self.check_input(input);
@@ -187,55 +188,54 @@ impl Layer for ConvTranspose2d {
             }
         }
 
-        // Weight gradient: [oy, ox, oc lanes] and [ic, ky, kx, oc lanes].
-        let (gy_lanes, lanes) = channels_last(gy, 1, out_c, oh * ow);
-        let (mut gw, _) = channels_last(self.weight.grad.data(), in_c, out_c, k * k);
+        // Input positions in ascending order. The output-gradient window of
+        // each is gathered into a patch laid out like one weight row
+        // `[oc, ky, kx]`, out-of-bounds taps left at zero (a zero gradient is
+        // skipped either way). Weight gradient: every input channel adds the
+        // patch scaled by its activation to its weight row. Input gradient:
+        // the patches transposed to one plane of positions per tap, so every
+        // channel sweeps its taps in ascending order over its whole plane
+        // from a `+0.0` accumulator, which can never become `-0.0` and so
+        // also stands for its addition to the zeroed input gradient.
         let x = input.data();
-        for ic in 0..in_c {
-            for iy in 0..h {
-                let kys = offsets(iy, k, s, p, oh);
-                for ix in 0..w {
-                    let kxs = offsets(ix, k, s, p, ow);
-                    if kxs.is_empty() {
-                        continue;
-                    }
-                    let span = kxs.len() * lanes;
+        let plane = h * w;
+        let taps = out_c * k * k;
+        let gw = self.weight.grad.data_mut();
+        let mut patch = vec![0.0f32; taps];
+        let mut columns = vec![0.0f32; taps * plane];
+        for iy in 0..h {
+            let kys = offsets(iy, k, s, p, oh);
+            for ix in 0..w {
+                let kxs = offsets(ix, k, s, p, ow);
+                if kys.len() < k || kxs.len() < k {
+                    patch.fill(0.0);
+                }
+                if !kxs.is_empty() {
                     let ox = ix * s + kxs.start - p;
-                    for ky in kys.clone() {
-                        let oy = iy * s + ky - p;
-                        lanes_axpy_nonzero(
-                            &mut gw[((ic * k + ky) * k + kxs.start) * lanes..][..span],
-                            &gy_lanes[(oy * ow + ox) * lanes..][..span],
-                            x[(ic * h + iy) * w + ix],
-                        );
+                    for (oc, rows) in patch.chunks_exact_mut(k * k).enumerate() {
+                        for ky in kys.clone() {
+                            let oy = iy * s + ky - p;
+                            copy_short(
+                                &mut rows[ky * k + kxs.start..][..kxs.len()],
+                                &gy[(oc * oh + oy) * ow + ox..][..kxs.len()],
+                            );
+                        }
                     }
+                }
+                let pos = iy * w + ix;
+                for ic in 0..in_c {
+                    axpy_nonzero(&mut gw[ic * taps..][..taps], &patch, x[ic * plane + pos]);
+                }
+                for (t, &v) in patch.iter().enumerate() {
+                    columns[t * plane + pos] = v;
                 }
             }
         }
-        channels_first_into(&gw, out_c, k * k, lanes, self.weight.grad.data_mut());
-
-        // Input gradient, reading the output gradient in the phase layout.
-        // Each element starts from the direct loop's `+0.0` accumulator, which
-        // can never become `-0.0`, so it also stands for that accumulator's
-        // addition to the zeroed gradient.
-        let phases = Phases::new(ow, s);
-        let gy = phases.split(gy);
-        let plan = RowPlan::gather(k, s, p, w, &phases);
         let wgt = self.weight.value.data();
-        let mut gx = vec![0.0f32; in_c * h * w];
-        for ic in 0..in_c {
-            for iy in 0..h {
-                let row = &mut gx[(ic * h + iy) * w..][..w];
-                for oc in 0..out_c {
-                    for ky in offsets(iy, k, s, p, oh) {
-                        let oy = iy * s + ky - p;
-                        plan.apply::<true>(
-                            row,
-                            &gy[(oc * oh + oy) * ow..][..ow],
-                            &wgt[((ic * out_c + oc) * k + ky) * k..][..k],
-                        );
-                    }
-                }
+        let mut gx = vec![0.0f32; in_c * plane];
+        for (ic, gx) in gx.chunks_exact_mut(plane).enumerate() {
+            for (column, &wv) in columns.chunks_exact(plane).zip(&wgt[ic * taps..][..taps]) {
+                axpy_nonzero(gx, column, wv);
             }
         }
         Tensor::from_vec(gx, &[in_c, h, w])

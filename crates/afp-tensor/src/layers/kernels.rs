@@ -6,22 +6,28 @@
 //! exactly — floating-point addition is not associative, so the *order per
 //! element* is the contract (see ARCHITECTURE.md, "The bit-identity
 //! contract"). The speed comes from updating many independent elements at
-//! once, which the compiler vectorizes. Two shapes cover all kernels:
+//! once, which the compiler vectorizes. Three shapes cover all kernels:
 //!
 //! * **Gather rows** ([`RowPlan`]): each destination element reduces over
 //!   kernel taps; a whole destination row takes the terms of up to four taps
 //!   per pass.
-//! * **Scatter spans** ([`lanes_axpy`], [`lanes_axpy_nonzero`]): a source
-//!   value adds its weighted kernel to every position it reaches, in the
-//!   direct loop's order. Channels run in lanes (a channels-last buffer),
-//!   so the positions of one kernel row form one contiguous span of lane
-//!   blocks.
+//! * **Scatter spans** ([`lanes_axpy`]): a source value adds its weighted
+//!   kernel to every position it reaches, in the direct loop's order.
+//!   Channels run in lanes (a channels-last buffer), so the positions of one
+//!   kernel row form one contiguous span of lane blocks.
+//! * **Patch rows** ([`axpy`], [`axpy_nonzero`]): a weight gradient sums
+//!   over positions, so positions stay sequential and the elements side by
+//!   side are the taps of one position: the window's values are gathered
+//!   into a patch laid out like one row of the weight tensor, and every
+//!   output (or input) channel adds its scaled patch to that row. The
+//!   same patches, transposed to one plane of positions per tap, let a
+//!   gather over taps run a whole plane at a time.
 //!
-//! The skipping variants leave out a term whose gradient or activation
-//! factor is exactly zero, as the direct loops they replace did. Inside a
-//! vector the skip is a select, not a branch, and it is load-bearing for bit
-//! identity: adding a `+0.0` product turns a `-0.0` accumulator into `+0.0`,
-//! and `0 × ∞` is NaN.
+//! The skipping variant leaves out a term whose gradient factor is exactly
+//! zero, as the direct loops it replaces did. Inside a vector the skip is a
+//! select, not a branch, and it is load-bearing for bit identity: adding a
+//! `+0.0` product turns a `-0.0` accumulator into `+0.0`, and `0 × ∞` is
+//! NaN.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -103,17 +109,6 @@ impl Phases {
     }
 }
 
-/// `acc + factor * w`, or `acc` untouched when skipping a zero `factor`.
-#[inline(always)]
-fn madd(acc: f32, factor: f32, w: f32, skip_zero: bool) -> f32 {
-    let v = acc + factor * w;
-    if skip_zero && factor == 0.0 {
-        acc
-    } else {
-        v
-    }
-}
-
 /// The plan of a gather row update, made once per layer call and applied to
 /// every row: each destination (coarse) position `c` adds
 /// `src[fine partner] * weights[t]` for every offset `t` whose fine partner
@@ -168,11 +163,10 @@ impl RowPlan {
         }
     }
 
-    /// Applies the planned terms to `dst`; with `SKIP_ZERO`, a term whose
-    /// source value is zero is skipped.
-    pub fn apply<const SKIP_ZERO: bool>(&self, dst: &mut [f32], src: &[f32], weights: &[f32]) {
+    /// Applies the planned terms to `dst`.
+    pub fn apply(&self, dst: &mut [f32], src: &[f32], weights: &[f32]) {
         for &(c, f, t) in &self.edges {
-            dst[c] = madd(dst[c], src[f], weights[t], SKIP_ZERO);
+            dst[c] += src[f] * weights[t];
         }
         let n = self.interior.len();
         let interior = &mut dst[self.interior.clone()];
@@ -182,10 +176,10 @@ impl RowPlan {
                 (&src[from..from + n], weights[t])
             };
             match chunk.len() {
-                1 => fused::<SKIP_ZERO, 1>(interior, std::array::from_fn(term)),
-                2 => fused::<SKIP_ZERO, 2>(interior, std::array::from_fn(term)),
-                3 => fused::<SKIP_ZERO, 3>(interior, std::array::from_fn(term)),
-                _ => fused::<SKIP_ZERO, 4>(interior, std::array::from_fn(term)),
+                1 => fused::<1>(interior, std::array::from_fn(term)),
+                2 => fused::<2>(interior, std::array::from_fn(term)),
+                3 => fused::<3>(interior, std::array::from_fn(term)),
+                _ => fused::<4>(interior, std::array::from_fn(term)),
             }
         }
     }
@@ -193,14 +187,14 @@ impl RowPlan {
 
 /// `dst[i]` plus the `K` terms `src_j[i] * w_j`, added in `j` order.
 #[inline(always)]
-fn fused<const SKIP_ZERO: bool, const K: usize>(dst: &mut [f32], terms: [(&[f32], f32); K]) {
+fn fused<const K: usize>(dst: &mut [f32], terms: [(&[f32], f32); K]) {
     let n = dst.len();
     let srcs = terms.map(|(src, _)| &src[..n]);
     let ws = terms.map(|(_, w)| w);
     for (i, d) in dst.iter_mut().enumerate() {
         let mut acc = *d;
         for j in 0..K {
-            acc = madd(acc, srcs[j][i], ws[j], SKIP_ZERO);
+            acc += srcs[j][i] * ws[j];
         }
         *d = acc;
     }
@@ -218,15 +212,36 @@ pub(super) fn lanes_axpy(acc: &mut [f32], w: &[f32], x: f32) {
     }
 }
 
-/// `acc[l] += g[l] * x` for every lane with `g[l] != 0`. Both slices hold
-/// the same multiple of [`LANES`] elements.
+/// `dst.copy_from_slice(src)` for the short rows of a kernel window: the
+/// common widths are constants, so the copy is inlined, not a `memcpy` call.
 #[inline]
-pub(super) fn lanes_axpy_nonzero(acc: &mut [f32], g: &[f32], x: f32) {
-    debug_assert!(acc.len() == g.len() && acc.len().is_multiple_of(LANES));
-    for (a, g) in acc.chunks_exact_mut(LANES).zip(g.chunks_exact(LANES)) {
-        for l in 0..LANES {
-            a[l] = madd(a[l], g[l], x, true);
-        }
+pub(super) fn copy_short(dst: &mut [f32], src: &[f32]) {
+    match dst.len() {
+        1 => dst[0] = src[0],
+        2 => dst.copy_from_slice(&src[..2]),
+        3 => dst.copy_from_slice(&src[..3]),
+        4 => dst.copy_from_slice(&src[..4]),
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// `acc[i] += a * src[i]` for every element of two equally long slices.
+#[inline]
+pub(super) fn axpy(acc: &mut [f32], src: &[f32], a: f32) {
+    debug_assert_eq!(acc.len(), src.len());
+    for (acc, &v) in acc.iter_mut().zip(src) {
+        *acc += a * v;
+    }
+}
+
+/// `acc[i] += factors[i] * x` for every `i` with `factors[i] != 0`, over two
+/// equally long slices.
+#[inline]
+pub(super) fn axpy_nonzero(acc: &mut [f32], factors: &[f32], x: f32) {
+    debug_assert_eq!(acc.len(), factors.len());
+    for (acc, &f) in acc.iter_mut().zip(factors) {
+        let v = *acc + f * x;
+        *acc = if f == 0.0 { *acc } else { v };
     }
 }
 
@@ -325,17 +340,10 @@ mod tests {
     #[test]
     fn skipping_keeps_negative_zero_and_avoids_nan() {
         let mut acc = [-0.0f32, 1.0, -0.0, 2.0];
-        lanes_axpy_nonzero(&mut acc, &[0.0, 0.0, 1.0, 0.0], f32::INFINITY);
+        axpy_nonzero(&mut acc, &[0.0, 0.0, 1.0, 0.0], f32::INFINITY);
         assert_eq!(
             acc.map(f32::to_bits),
             [-0.0, 1.0, f32::INFINITY, 2.0].map(f32::to_bits)
-        );
-        let mut row = [-0.0f32; 6];
-        let plan = RowPlan::gather(1, 1, 0, 6, &Phases::new(6, 1));
-        plan.apply::<true>(&mut row, &[0.0, 1.0, 0.0, -0.0, 0.0, 2.0], &[f32::INFINITY]);
-        assert_eq!(
-            row.map(f32::to_bits),
-            [-0.0, f32::INFINITY, -0.0, -0.0, -0.0, f32::INFINITY].map(f32::to_bits)
         );
     }
 }

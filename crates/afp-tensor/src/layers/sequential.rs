@@ -74,12 +74,28 @@ impl Layer for Sequential {
         g
     }
 
+    /// Back-propagates through every layer but the first, which only
+    /// accumulates its parameter gradients.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
+    }
+
     fn params(&self) -> Vec<&Param> {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
     }
 
     fn name(&self) -> &str {
@@ -119,6 +135,43 @@ mod tests {
         let input = Tensor::from_slice(&[0.5, -0.2, 0.1, 0.9]);
         let max_err = check_layer_gradients(&mut net, &input);
         assert!(max_err < 1e-2, "max gradient error {}", max_err);
+    }
+
+    /// A conv-first stack (the first layer overrides `backward_params`) and
+    /// a dense-first one (the default): the params-only pass must leave
+    /// every parameter gradient bit-identical to the full backward.
+    #[test]
+    fn backward_params_matches_backward_parameter_gradients() {
+        use crate::layers::{Conv2d, Flatten};
+        let conv_first = |rng: &mut StdRng| {
+            let mut net = Sequential::new();
+            net.push(Conv2d::new(3, 4, 3, 1, 1, rng));
+            net.push(Activation::relu());
+            net.push(Flatten::new());
+            net.push(Dense::new(4 * 6 * 6, 5, rng));
+            (net, vec![3, 6, 6])
+        };
+        let dense_first = |rng: &mut StdRng| (mlp(rng), vec![4]);
+        for build in [conv_first, dense_first] {
+            let (mut full, shape) = build(&mut StdRng::seed_from_u64(5));
+            let (mut params_only, _) = build(&mut StdRng::seed_from_u64(5));
+            let mut rng = StdRng::seed_from_u64(6);
+            let n: usize = shape.iter().product();
+            let x = crate::Init::XavierUniform.sample(&mut rng, &shape, n, n);
+            let y = full.forward(&x);
+            let g = crate::Init::XavierUniform.sample(&mut rng, y.shape(), 4, 4);
+            full.backward(&g);
+            params_only.forward(&x);
+            params_only.backward_params(&g);
+            let bits = |net: &Sequential| -> Vec<Vec<u32>> {
+                net.params()
+                    .iter()
+                    .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&params_only), bits(&full));
+            assert!(full.params().iter().all(|p| p.grad.norm() > 0.0));
+        }
     }
 
     #[test]

@@ -105,17 +105,18 @@ impl Adam {
         let t = self.step_count as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
-        for (i, p) in params.iter_mut().enumerate() {
-            let m = self.m[i].data_mut();
-            let v = self.v[i].data_mut();
-            let g = p.grad.data();
-            let w = p.value.data_mut();
-            for j in 0..g.len() {
-                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * g[j];
-                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g[j] * g[j];
-                let m_hat = m[j] / bias1;
-                let v_hat = v[j] / bias2;
-                w[j] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.learning_rate, self.epsilon);
+        let (keep1, keep2) = (1.0 - beta1, 1.0 - beta2);
+        // Zipped slices, no indexing: the loop vectorizes, and every element
+        // still takes exactly these operations in this order.
+        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+            let elements = p.value.data_mut().iter_mut().zip(p.grad.data());
+            for ((w, &g), (m, v)) in elements.zip(m.data_mut().iter_mut().zip(v.data_mut())) {
+                *m = beta1 * *m + keep1 * g;
+                *v = beta2 * *v + keep2 * g * g;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
     }
@@ -150,7 +151,9 @@ mod tests {
     fn train_linear(optimizer: &mut dyn FnMut(&mut [&mut Param])) -> f32 {
         let mut rng = StdRng::seed_from_u64(11);
         let mut layer = Dense::new(1, 1, &mut rng);
-        let data: Vec<(f32, f32)> = (0..20).map(|i| (i as f32 / 10.0, 2.0 * i as f32 / 10.0 + 1.0)).collect();
+        let data: Vec<(f32, f32)> = (0..20)
+            .map(|i| (i as f32 / 10.0, 2.0 * i as f32 / 10.0 + 1.0))
+            .collect();
         let mut loss = f32::MAX;
         for _ in 0..400 {
             loss = 0.0;

@@ -149,7 +149,9 @@ impl StateDict {
                 .collect::<Result<_, _>>()?;
             let expected: usize = shape.iter().product();
             if data.len() != expected {
-                return Err(SerializeError::Malformed("data length does not match shape"));
+                return Err(SerializeError::Malformed(
+                    "data length does not match shape",
+                ));
             }
             entries.push((name, Tensor::from_vec(data, &shape)));
         }

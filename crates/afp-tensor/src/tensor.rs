@@ -281,7 +281,10 @@ impl Tensor {
     ///
     /// Panics if the shapes differ.
     pub fn add_scaled_inplace(&mut self, other: &Tensor, scale: f32) {
-        assert_eq!(self.shape, other.shape, "shape mismatch in add_scaled_inplace");
+        assert_eq!(
+            self.shape, other.shape,
+            "shape mismatch in add_scaled_inplace"
+        );
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b * scale;
         }
@@ -449,13 +452,7 @@ impl Tensor {
     /// Numerically stable log-softmax over a flat vector.
     pub fn log_softmax(&self) -> Tensor {
         let m = self.max();
-        let log_sum: f32 = self
-            .data
-            .iter()
-            .map(|&x| (x - m).exp())
-            .sum::<f32>()
-            .ln()
-            + m;
+        let log_sum: f32 = self.data.iter().map(|&x| (x - m).exp()).sum::<f32>().ln() + m;
         self.map(|x| x - log_sum)
     }
 
@@ -543,7 +540,9 @@ mod tests {
         };
         for &(m, k, n) in &[(3, 5, 4), (17, 64, 9), (8, 65, 130), (1, 200, 1)] {
             let a = Tensor::from_vec(
-                (0..m * k).map(|i| if i % 7 == 0 { 0.0 } else { next() }).collect(),
+                (0..m * k)
+                    .map(|i| if i % 7 == 0 { 0.0 } else { next() })
+                    .collect(),
                 &[m, k],
             );
             let b = Tensor::from_vec((0..k * n).map(|_| next()).collect(), &[k, n]);

@@ -72,13 +72,25 @@ cargo test -q -p afp-metaheuristics --features full-metrics
 # few-shot fine-tune + solve to constants captured from the direct loops. Run
 # them by name (with the zero-match guard), then the proptest once more at
 # 10x its configured case count through PROPTEST_CASES.
+#
+# The params-only backward (the first layer skips its input gradient) must
+# leave the parameter gradients of the full backward, the sparse PPO loss
+# head must match the dense one bit for bit, and the PPO loss gradient and
+# the environment's dead-end shortcut are checked end to end: those run by
+# name too, from their crates' unit tests.
 for kernel_test in \
-    "properties|conv_kernels_match_direct_loop_oracle" \
-    "properties|policy_layer_shapes_match_direct_loop_oracle" \
-    "historical_streams|rl_fine_tune_and_solve_streams_are_bit_identical"; do
+    "--test properties|conv_kernels_match_direct_loop_oracle" \
+    "--test properties|policy_layer_shapes_match_direct_loop_oracle" \
+    "--test properties|weight_gradient_kernels_match_oracle_on_pointwise_and_mostly_zero_cases" \
+    "--test historical_streams|rl_fine_tune_and_solve_streams_are_bit_identical" \
+    "-p afp-tensor|backward_params_matches_backward_parameter_gradients" \
+    "-p afp-rl|loss_head_matches_the_dense_formulation_bit_for_bit" \
+    "-p afp-rl|ppo_loss_gradient_matches_finite_differences" \
+    "-p afp-rl|dead_end_verdict_matches_the_full_observation"; do
     target="${kernel_test%%|*}"
     name="${kernel_test##*|}"
-    kernel_out="$(cargo test --test "$target" "$name" 2>&1)" \
+    # shellcheck disable=SC2086  # "$target" is a flag and its argument
+    kernel_out="$(cargo test $target "$name" 2>&1)" \
         || { echo "$kernel_out"; exit 1; }
     echo "$kernel_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
         || { echo "ci: kernel test filter '$name' matched no tests" >&2; exit 1; }
@@ -91,6 +103,10 @@ kernel_out="$(PROPTEST_CASES=$((kernel_cases * 10)) \
     || { echo "$kernel_out"; exit 1; }
 echo "$kernel_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
     || { echo "ci: 10x kernel differential proptest matched no tests" >&2; exit 1; }
+
+# Formatting of the crates whose formatting has been brought in line; the
+# rest of the tree is not rustfmt-clean yet, so it is not checked here.
+cargo fmt -p afp-tensor -p afp-rl -- --check
 
 # Large-n zero-fallback tripwires: the `fallback_rescans` counter is
 # structurally never incremented (the full-rescan fallback branch was deleted

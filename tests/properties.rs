@@ -1944,6 +1944,18 @@ mod tensor_kernels {
             .collect()
     }
 
+    /// `n` gradient entries of which about one in fifty is nonzero, with
+    /// whole output channels and rows left at zero as often as not.
+    fn mostly_zero_grads(rng: &mut StdRng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..100u32) {
+                0 | 1 => rng.gen_range(-1.0f32..1.0),
+                2 => -0.0,
+                _ => 0.0,
+            })
+            .collect()
+    }
+
     /// Random nonzero biases with some exact `±0.0` entries (the transposed
     /// convolution's forward branches on a zero bias).
     fn randomize_bias(layer: &mut dyn Layer, rng: &mut StdRng) {
@@ -1959,17 +1971,23 @@ mod tensor_kernels {
 
     type Forward = fn(Geom, &[f32], &[f32], &[f32]) -> Vec<f32>;
     type Backward = fn(Geom, &[f32], &[f32], &[f32], &mut [f32], &mut [f32]) -> Vec<f32>;
+    type Grads = fn(&mut StdRng, usize) -> Vec<f32>;
 
     /// Two forward/backward rounds through `layer` and the oracle, without
     /// `zero_grad` in between and from nonzero starting gradients: outputs
     /// and input gradients must match every round, and the accumulated
-    /// weight and bias gradients at the end.
+    /// weight and bias gradients at the end. `twin` starts as a copy of
+    /// `layer` and takes the same rounds through `Layer::backward_params`:
+    /// its weight and bias gradients must end bit-identical to `layer`'s.
+    #[allow(clippy::too_many_arguments)]
     fn check_conv_like(
         layer: &mut dyn Layer,
+        twin: &mut dyn Layer,
         g: Geom,
         (oh, ow): (usize, usize),
         forward: Forward,
         backward: Backward,
+        grads: Grads,
         rng: &mut StdRng,
     ) {
         randomize_bias(layer, rng);
@@ -1984,13 +2002,19 @@ mod tensor_kernels {
                 };
             }
         }
+        for (from, to) in layer.params().into_iter().zip(twin.params_mut()) {
+            to.value = from.value.clone();
+            to.grad = from.grad.clone();
+        }
         let wgt = layer.params()[0].value.data().to_vec();
         let bias = layer.params()[1].value.data().to_vec();
         let mut gw = layer.params()[0].grad.data().to_vec();
         let mut gb = layer.params()[1].grad.data().to_vec();
         for round in 0..2 {
             let x = activations(rng, g.in_c * g.h * g.w);
-            let gy = sparse_grads(rng, g.out_c * oh * ow);
+            let gy = grads(rng, g.out_c * oh * ow);
+            twin.forward(&Tensor::from_vec(x.clone(), &[g.in_c, g.h, g.w]));
+            twin.backward_params(&Tensor::from_vec(gy.clone(), &[g.out_c, oh, ow]));
             let y = layer.forward(&Tensor::from_vec(x.clone(), &[g.in_c, g.h, g.w]));
             assert_eq!(y.shape(), &[g.out_c, oh, ow]);
             assert_eq!(
@@ -2017,32 +2041,56 @@ mod tensor_kernels {
             bits(&gb),
             "{g:?}: bias gradient"
         );
+        for (name, (full, params_only)) in ["weight", "bias"]
+            .into_iter()
+            .zip(params.iter().zip(twin.params()))
+        {
+            assert_eq!(
+                bits(params_only.grad.data()),
+                bits(full.grad.data()),
+                "{g:?}: params-only {name} gradient"
+            );
+        }
     }
 
-    fn check_conv(g: Geom, rng: &mut StdRng) {
+    fn check_conv_with(g: Geom, grads: Grads, rng: &mut StdRng) {
         let mut conv = Conv2d::new(g.in_c, g.out_c, g.k, g.s, g.p, rng);
+        let mut twin = Conv2d::new(g.in_c, g.out_c, g.k, g.s, g.p, rng);
         let out = (g.conv_out(g.h), g.conv_out(g.w));
         check_conv_like(
             &mut conv,
+            &mut twin,
             g,
             out,
             oracle::conv_forward,
             oracle::conv_backward,
+            grads,
             rng,
         );
     }
 
-    fn check_deconv(g: Geom, rng: &mut StdRng) {
+    fn check_deconv_with(g: Geom, grads: Grads, rng: &mut StdRng) {
         let mut deconv = ConvTranspose2d::new(g.in_c, g.out_c, g.k, g.s, g.p, rng);
+        let mut twin = ConvTranspose2d::new(g.in_c, g.out_c, g.k, g.s, g.p, rng);
         let out = (g.deconv_out(g.h), g.deconv_out(g.w));
         check_conv_like(
             &mut deconv,
+            &mut twin,
             g,
             out,
             oracle::deconv_forward,
             oracle::deconv_backward,
+            grads,
             rng,
         );
+    }
+
+    fn check_conv(g: Geom, rng: &mut StdRng) {
+        check_conv_with(g, sparse_grads, rng);
+    }
+
+    fn check_deconv(g: Geom, rng: &mut StdRng) {
+        check_deconv_with(g, sparse_grads, rng);
     }
 
     fn check_dense(n_in: usize, n_out: usize, rng: &mut StdRng) {
@@ -2148,6 +2196,53 @@ mod tensor_kernels {
             (256, 1),
         ] {
             check_dense(n_in, n_out, &mut rng);
+        }
+    }
+
+    /// The weight-gradient kernels' special cases against the oracle, full
+    /// and params-only backward alike: the pointwise path (1×1 kernel,
+    /// stride 1, no padding) beside 1×1 kernels that miss it, and output
+    /// gradients that are almost all zero, so that whole windows, patches
+    /// and output channels are skipped.
+    #[test]
+    fn weight_gradient_kernels_match_oracle_on_pointwise_and_mostly_zero_cases() {
+        let mut rng = StdRng::seed_from_u64(0x9a7c);
+        let geom = |in_c, out_c, k, s, p, h, w| Geom {
+            in_c,
+            out_c,
+            k,
+            s,
+            p,
+            h,
+            w,
+        };
+        for g in [
+            geom(4, 3, 1, 1, 0, 32, 32),
+            geom(8, 3, 1, 1, 0, 32, 32),
+            geom(1, 1, 1, 1, 0, 1, 1),
+            geom(9, 5, 1, 1, 0, 3, 7),
+            geom(5, 2, 1, 2, 0, 7, 6),
+            geom(3, 4, 1, 1, 1, 4, 5),
+        ] {
+            check_conv_with(g, sparse_grads, &mut rng);
+            check_conv_with(g, mostly_zero_grads, &mut rng);
+            check_deconv_with(g, sparse_grads, &mut rng);
+            check_deconv_with(g, mostly_zero_grads, &mut rng);
+        }
+        for g in [
+            geom(6, 4, 3, 1, 1, 32, 32),
+            geom(16, 32, 3, 1, 1, 12, 12),
+            geom(3, 7, 4, 2, 2, 9, 8),
+        ] {
+            check_conv_with(g, mostly_zero_grads, &mut rng);
+        }
+        for g in [
+            geom(8, 8, 4, 2, 1, 4, 4),
+            geom(8, 4, 4, 2, 1, 8, 8),
+            geom(4, 4, 4, 2, 1, 16, 16),
+            geom(5, 3, 3, 1, 2, 6, 5),
+        ] {
+            check_deconv_with(g, mostly_zero_grads, &mut rng);
         }
     }
 }
